@@ -55,25 +55,29 @@ def load_relation_csv(
             raise QueryError(
                 f"{path}: {len(file_attrs)} columns, atom wants {len(schema)}"
             )
-        elif set(schema) == set(file_attrs):
+        # a header naming the schema's attributes maps by name, else by position
+        if set(schema) == set(file_attrs):
             order = [file_attrs.index(a) for a in schema]
-            rows = {}
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise QueryError(f"{path}:{lineno}: wrong column count")
-                key = tuple(parse_value(row[i]) for i in order)
-                rows[key] = semiring.parse_annotation(row[-1])
-            return AnnotatedRelation(schema, rows, zero=semiring.zero)
+        else:
+            order = range(len(file_attrs))
         rows = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise QueryError(f"{path}:{lineno}: wrong column count")
-            key = tuple(parse_value(cell) for cell in row[:-1])
-            rows[key] = semiring.parse_annotation(row[-1])
+            key = tuple(parse_value(row[i]) for i in order)
+            if key in rows:
+                raise QueryError(f"{path}:{lineno}: duplicate tuple {key}")
+            try:
+                rows[key] = semiring.parse_annotation(row[-1])
+            except (ValueError, ArithmeticError):
+                raise QueryError(
+                    f"{path}:{lineno}: bad annotation {row[-1].strip()!r} "
+                    f"for semiring {semiring.name!r}"
+                ) from None
+            except QueryError as exc:
+                raise QueryError(f"{path}:{lineno}: {exc}") from None
         return AnnotatedRelation(schema, rows, zero=semiring.zero)
 
 

@@ -10,7 +10,7 @@ the semiring one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import InternalError, QueryError
 from .ghd import Aghd, Ghd, is_compatible, top_map
@@ -99,18 +99,16 @@ def generic_join(
 
     tries = []
     for rel in rels:
+        # edges are never empty and each schema matches its edge, so every
+        # relation has at least one level
         levels = [a for a in order if a in rel.schema]
-        root: Any = {} if levels else None
-        if not levels:
-            root = rel.tuples.get((), None)
-            if root is None:
-                return AnnotatedRelation.empty(tuple(order))
+        root: dict = {}
+        *inner, last = [rel.schema.index(a) for a in levels]
         for row, lam in rel.tuples.items():
             node = root
-            key = rel.project_tuple(row, levels)
-            for value in key[:-1]:
-                node = node.setdefault(value, {})
-            node[key[-1]] = lam
+            for i in inner:
+                node = node.setdefault(row[i], {})
+            node[row[last]] = lam
         tries.append((levels, root))
 
     out = AnnotatedRelation.empty(tuple(order))

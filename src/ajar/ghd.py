@@ -553,6 +553,13 @@ def optimal_ghd(
     vertex is eliminated depends only on the set eliminated before it, so
     this searches every elimination order.  Bag costs come from the
     fractional cover LP over cost_edges (defaults to h's own edges).
+
+    Pruning: while scanning the last-eliminated vertex v of a prefix set in
+    sorted order, v is skipped, bag and LP included, once the best width of
+    the prefix without v already reaches the incumbent.  Its cost, the max of
+    that width and its bag's cost, could only tie the incumbent, and a tie
+    goes to the earlier vertex, which the incumbent is.  So the choice at
+    every prefix, and the returned GHD, are those of the unpruned search.
     """
     verts = sorted(h.vertices)
     n = len(verts)
@@ -609,6 +616,8 @@ def optimal_ghd(
                 if not mask & bit:
                     continue
                 rest = mask ^ bit
+                if best_cost is not None and best[rest] >= best_cost:
+                    continue  # cannot beat the incumbent, nor win its tie
                 cost = max(best[rest], bag_cost(bag_of(v, rest)))
                 if best_cost is None or cost < best_cost or (
                     cost == best_cost and verts[v] < verts[best_v]

@@ -2,17 +2,22 @@
 
 The cover LP (minimize Σ x_F·c_F with every bag attribute covered) is solved
 through its packing dual, which starts feasible from the all-slack basis.
-Unit-cost mode runs over exact Fractions so widths compare bit-exactly;
-data-aware mode runs over floats with a fixed tolerance.  Bland's rule
-prevents cycling in both modes.
+Unit-cost mode pivots fraction-free (Bareiss/Edmonds): the tableau stays in
+integers over one common denominator, every division is exact, and the
+optimum comes back as a Fraction, so widths compare bit-exactly.  Data-aware
+mode runs over floats with a fixed tolerance.  Both modes pivot by Bland's
+rule, which prevents cycling.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
 from .errors import InternalError
+
+MAX_PIVOTS = 10_000
 
 
 def maximize(
@@ -20,27 +25,25 @@ def maximize(
 ):
     """Maximize objective·y subject to rows·y <= rhs, y >= 0 (rhs >= 0).
 
-    Returns the optimal objective value.
+    Exact mode takes integer data and returns a Fraction; otherwise the
+    data may be any reals and the value is a float.
     """
+    if exact:
+        return _maximize_exact(objective, rows, rhs)
     n = len(objective)
     m = len(rows)
-    if exact:
-        conv = Fraction
-        tol = Fraction(0)
-    else:
-        conv = float
-        tol = 1e-9
+    tol = 1e-9
     # tableau rows: [coeffs | slacks | rhs]; objective row keeps -coeffs
     tab = [
-        [conv(rows[i][j]) for j in range(n)]
-        + [conv(1) if k == i else conv(0) for k in range(m)]
-        + [conv(rhs[i])]
+        [float(rows[i][j]) for j in range(n)]
+        + [1.0 if k == i else 0.0 for k in range(m)]
+        + [float(rhs[i])]
         for i in range(m)
     ]
-    obj = [-conv(objective[j]) for j in range(n)] + [conv(0)] * (m + 1)
+    obj = [-float(objective[j]) for j in range(n)] + [0.0] * (m + 1)
     basis = [n + i for i in range(m)]
 
-    for _ in range(10_000):
+    for _ in range(MAX_PIVOTS):
         entering = next((j for j in range(n + m) if obj[j] < -tol), None)
         if entering is None:
             return obj[-1]
@@ -66,6 +69,72 @@ def maximize(
     raise InternalError("simplex failed to converge")
 
 
+def _maximize_exact(objective: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> Fraction:
+    """The simplex over integer data; the true tableau is tab / d.
+
+    Pivoting on p = tab[r][c] leaves row r as it is and maps every other row
+    to (row·p − row[c]·tab[r]) / d, then sets d = p.  Each entry is a minor
+    of the input, so the division is exact (Bareiss's identity), and the
+    signs and ratios that steer the pivots are those of the rational simplex.
+    """
+    n = len(objective)
+    m = len(rows)
+    tab = [
+        [index(rows[i][j]) for j in range(n)]
+        + [1 if k == i else 0 for k in range(m)]
+        + [index(rhs[i])]
+        for i in range(m)
+    ]
+    obj = [-index(objective[j]) for j in range(n)] + [0] * (m + 1)
+    basis = [n + i for i in range(m)]
+    d = 1
+
+    for _ in range(MAX_PIVOTS):
+        entering = next((j for j in range(n + m) if obj[j] < 0), None)
+        if entering is None:
+            return Fraction(obj[-1], d)
+        # Bland's leaving row: least ratio rhs/coeff, ties to the least basis
+        # index; ratios compare by cross-multiplying (both coeffs positive)
+        pivot_row = None
+        for i in range(m):
+            coeff = tab[i][entering]
+            if coeff > 0:
+                if pivot_row is None:
+                    pivot_row = i
+                    continue
+                lhs = tab[i][-1] * tab[pivot_row][entering]
+                rhs_best = tab[pivot_row][-1] * coeff
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[pivot_row]):
+                    pivot_row = i
+        if pivot_row is None:
+            raise InternalError("unbounded cover LP: bag attribute in no edge")
+        prow = tab[pivot_row]
+        p = prow[entering]
+        for i, row in enumerate(tab):
+            if i != pivot_row:
+                f = row[entering]
+                tab[i] = [(v * p - f * q) // d for v, q in zip(row, prow)]
+        f = obj[entering]
+        obj = [(v * p - f * q) // d for v, q in zip(obj, prow)]
+        d = p
+        basis[pivot_row] = entering
+    raise InternalError("simplex failed to converge")
+
+
+def _implied(k: int, rows: Sequence[tuple[frozenset[str], object]]) -> bool:
+    """Whether packing row k follows from another row.
+
+    Row j implies row k when its attributes include k's and its cost is no
+    larger; of two identical rows the first is kept.
+    """
+    attrs, cost = rows[k]
+    return any(
+        j != k and attrs <= other and other_cost <= cost
+        and (j < k or other != attrs or other_cost != cost)
+        for j, (other, other_cost) in enumerate(rows)
+    )
+
+
 def fractional_cover_value(
     bag: frozenset[str],
     cost_edges: Sequence[tuple[frozenset[str], object]],
@@ -74,7 +143,9 @@ def fractional_cover_value(
     """Optimal value of the fractional edge cover LP for one bag.
 
     cost_edges pairs each edge's attribute set with its cost (1 in unit mode,
-    log_IN of the relation size in data-aware mode).
+    log_IN of the relation size in data-aware mode).  An edge whose
+    restriction to the bag lies inside another's at no smaller cost is
+    dropped first: its packing row can never bind, so the optimum is the same.
     """
     if not bag:
         return Fraction(0) if exact else 0.0
@@ -83,6 +154,7 @@ def fractional_cover_value(
     covered = set().union(*(e for e, _ in useful)) if useful else set()
     if covered != bag:
         raise InternalError(f"attributes {bag - covered} not covered by any edge")
+    useful = [useful[k] for k in range(len(useful)) if not _implied(k, useful)]
     objective = [1] * len(attrs)
     rows = [[1 if a in e else 0 for a in attrs] for e, _ in useful]
     rhs = [c for _, c in useful]

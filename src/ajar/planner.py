@@ -151,15 +151,6 @@ def _compatible_ordering(
     return AggregationOrdering(tuple(ordered))
 
 
-def _part_cost_edges(
-    h: Hypergraph,
-    sizes: Optional[dict[str, int]],
-    mode: str,
-) -> list[tuple[frozenset[str], Any]]:
-    """Bags are priced against the real relations, never interface edges."""
-    return cost_edges_for(h, sizes, mode)
-
-
 def plan(
     h: Hypergraph,
     alpha: AggregationOrdering,
@@ -180,7 +171,8 @@ def plan(
 
     tree = characteristic_tree(h, alpha, products=products)
     parts = tree.flatten()
-    cost = _part_cost_edges(h, sizes, mode)
+    # bags are priced against the real relations, never interface edges
+    cost = cost_edges_for(h, sizes, mode)
     part_ghds = [
         optimal_ghd(part.hypergraph, sizes=None, mode=mode, cap=cap, cost_edges=cost)
         for part in parts

@@ -85,9 +85,6 @@ class AnnotatedRelation:
         out.tuples = dict(self.tuples)
         return out
 
-    def project_tuple(self, row: tuple, attrs: Iterable[str]) -> tuple:
-        return tuple(row[self.schema.index(a)] for a in attrs)
-
     def distinct(self, attr: str) -> set:
         i = self.schema.index(attr)
         return {row[i] for row in self.tuples}
@@ -268,10 +265,8 @@ def semijoin(left: AnnotatedRelation, right: AnnotatedRelation) -> AnnotatedRela
     shared = tuple(a for a in left.schema if a in right.schema)
     if not shared:
         return left if right.tuples else AnnotatedRelation.empty(left.schema)
-    right_keys = {
-        tuple(row[i] for i in [right.schema.index(a) for a in shared])
-        for row in right.tuples
-    }
+    right_idx = [right.schema.index(a) for a in shared]
+    right_keys = {tuple(row[i] for i in right_idx) for row in right.tuples}
     left_idx = [left.schema.index(a) for a in shared]
     out = AnnotatedRelation.empty(left.schema)
     out.tuples = {

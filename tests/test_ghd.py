@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,10 +26,12 @@ from ajar import (
 from ajar.ghd import (
     aghd_from_stitched,
     characteristic_tree,
+    cost_edges_for,
     is_subtree_connected,
     is_top_unique,
     stitch_tree,
 )
+from ajar.lp import fractional_cover_value
 from ajar.oracle import exhaustive_valid_ghds
 from ajar.ordering import test_equivalence as is_equivalent
 from conftest import ordering
@@ -268,6 +271,48 @@ class TestOptimalGhd:
                 for cand in exhaustive_valid_ghds(h, ordering())
             )
             assert width(g, h).width == best
+
+    @pytest.mark.parametrize("mode", ["unit", "data"])
+    def test_width_is_min_over_elimination_orders(self, mode):
+        rng = random.Random(23 if mode == "unit" else 29)
+        for _ in range(25):
+            n = rng.randint(1, 6)
+            attrs = [f"X{i}" for i in range(n)]
+            edges = [
+                (f"E{i}", rng.sample(attrs, rng.randint(1, min(3, n))))
+                for i in range(rng.randint(1, 7))
+            ]
+            edges += [(f"U{a}", (a,)) for a in attrs if all(a not in e for _, e in edges)]
+            h = Hypergraph.build(edges)
+            sizes = {name: rng.randint(1, 500) for name, _ in edges}
+            cost = cost_edges_for(h, sizes, mode)
+            exact = mode == "unit"
+            costs = {}
+
+            def bag_cost(bag):
+                if bag not in costs:
+                    costs[bag] = fractional_cover_value(bag, cost, exact)
+                return costs[bag]
+
+            best = None
+            for order in itertools.permutations(attrs):
+                # eliminate along the order in the primal graph, with fill-in
+                neighbours = {a: set() for a in attrs}
+                for _, e in edges:
+                    for a in e:
+                        neighbours[a] |= set(e) - {a}
+                worst = None
+                for v in order:
+                    bag = frozenset(neighbours[v] | {v})
+                    worst = bag_cost(bag) if worst is None else max(worst, bag_cost(bag))
+                    for u in neighbours[v]:
+                        neighbours[u] |= neighbours[v] - {u}
+                        neighbours[u].discard(v)
+                    del neighbours[v]
+                best = worst if best is None else min(best, worst)
+            g = optimal_ghd(h, sizes=sizes, mode=mode)
+            assert is_ghd(h, g)
+            assert width(g, h, sizes, mode).width == best
 
 
 class TestNormalizeDecomposable:

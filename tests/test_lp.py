@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -85,3 +87,63 @@ def test_matches_brute_force_grid_search():
                         if best is None or total < best:
                             best = total
     assert value == best
+
+
+def _solve(matrix, rhs):
+    """Unique solution of a square Fraction system, or None when singular."""
+    n = len(matrix)
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col] / aug[col][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][n] / aug[r][r] for r in range(n)]
+
+
+def _cover_by_vertex_enumeration(target, cost):
+    """Minimize Σ c_F x_F subject to Σ_{F ∋ a} x_F >= 1, x >= 0, over vertices.
+
+    A vertex makes len(cost) constraints tight.  Fixing the set T of tight
+    cover rows and the support S (the variables whose x >= 0 is not tight)
+    forces |S| = |T|; each square subsystem is solved and checked.
+    """
+    attrs = sorted(target)
+    coeff = [[Fraction(int(a in e)) for e, _ in cost] for a in attrs]
+    best = None
+    for size in range(1, len(attrs) + 1):
+        for tight in itertools.combinations(range(len(attrs)), size):
+            for support in itertools.combinations(range(len(cost)), size):
+                x_s = _solve([[coeff[i][j] for j in support] for i in tight], [Fraction(1)] * size)
+                if x_s is None or any(v < 0 for v in x_s):
+                    continue
+                x = [Fraction(0)] * len(cost)
+                for j, v in zip(support, x_s):
+                    x[j] = v
+                if all(sum(c * v for c, v in zip(row, x)) >= 1 for row in coeff):
+                    value = sum(Fraction(c) * v for (_, c), v in zip(cost, x))
+                    best = value if best is None else min(best, value)
+    return best
+
+
+def test_random_cover_lps_match_vertex_enumeration():
+    rng = random.Random(41)
+    for trial in range(150):
+        k = rng.randint(1, 5)
+        names = [chr(ord("A") + i) for i in range(k)]
+        unit = trial % 2 == 0
+        cost = [
+            (frozenset(rng.sample(names, rng.randint(1, k))), 1 if unit else rng.randint(1, 9))
+            for _ in range(rng.randint(1, 7))
+        ]
+        covered = set().union(*(e for e, _ in cost))
+        target = frozenset(rng.sample(sorted(covered), rng.randint(1, len(covered))))
+        exact = fractional_cover_value(target, cost, exact=True)
+        assert isinstance(exact, Fraction)
+        assert exact == _cover_by_vertex_enumeration(target, cost)
+        approx = fractional_cover_value(target, [(e, float(c)) for e, c in cost], exact=False)
+        assert abs(approx - exact) <= 1e-9

@@ -226,6 +226,25 @@ class TestCli:
         code = main(["run", str(tmp_path / "q.aj"), "--data", str(tmp_path)])
         assert code == 1  # missing relation file
 
+    def test_duplicate_tuple_exit_code(self, worked_example_dir, capsys):
+        relation = worked_example_dir / "data" / "R.csv"
+        relation.write_text("A,B,__annotation\n1,3,3\n1,2,1\n1,3,2\n")
+        code = main(["run", str(worked_example_dir / "q.aj"), "--data", str(relation.parent)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{relation}:4: duplicate tuple" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cell", ["x", "1.5", ""])
+    def test_bad_annotation_exit_code(self, worked_example_dir, capsys, cell):
+        relation = worked_example_dir / "data" / "S.csv"
+        relation.write_text(f"B,C,__annotation\n1,1,4\n3,3,{cell}\n")
+        code = main(["run", str(worked_example_dir / "q.aj"), "--data", str(relation.parent)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{relation}:3: bad annotation" in err
+        assert "Traceback" not in err
+
     def test_selftest_smoke(self, capsys):
         assert main(["selftest", "--trials", "120", "--seed", "3"]) == 0
         assert "all ok" in capsys.readouterr().out
