@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-# Execution: worst-case-optimal joins inside each bag, then an aggregating
-# Yannakakis pass over the bag tree. Each relation's annotations enter at
-# exactly one bag; everywhere else it contributes membership only.
+# Execution: each bag runs a worst-case-optimal join over its relations and
+# its children's messages, aggregating its TOP attributes inside the join, and
+# passes the result up as its own message. A plan with an output attribute
+# below the root instead materializes every bag and runs an aggregating
+# Yannakakis pass (the parity cycle below is one). Each relation's
+# annotations enter at exactly one bag; everywhere else it only filters.
 
 import math
 

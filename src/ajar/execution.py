@@ -1,16 +1,24 @@
-"""Query execution: within-bag worst-case-optimal joins, the Yannakakis
-passes over join trees, and the combined GHD pipelines.
+"""Query execution: worst-case-optimal joins that fold inside their
+recursion, message passing over a GHD, and the materializing Yannakakis
+pipeline it falls back to.
+
+``aggro_ghd_join`` runs one post-order pass over the decomposition when
+every output attribute lies in the root bag: each bag joins its atoms and its
+children's messages in ``generic_join``, aggregating its TOP attributes as
+the recursion returns, and passes the result up (InsideOut-style variable
+elimination).  A plan with an output attribute below the root instead
+materializes every bag and runs the semijoin passes of ``aggro_yannakakis``.
 
 Annotations are multiplied exactly once per output tuple: a relation enters
 with its true annotations only at the topmost bag containing all of its
 attributes; every other bag sees a projection with annotations replaced by
-the semiring one.
+the semiring one, which only filters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import InternalError, QueryError
 from .ghd import Aghd, Ghd, is_compatible, top_map
@@ -39,8 +47,9 @@ class ExecStats:
     intermediate_tuples: int = 0
 
     def record_bag(self, label: str, inputs: int, outputs: int) -> None:
-        self.bag_input_tuples[label] = inputs
-        self.bag_output_tuples[label] = outputs
+        """Add one bag's tuple counts; repeated labels accumulate."""
+        self.bag_input_tuples[label] = self.bag_input_tuples.get(label, 0) + inputs
+        self.bag_output_tuples[label] = self.bag_output_tuples.get(label, 0) + outputs
         self.intermediate_tuples += outputs
 
     def record_join(self, produced: int) -> None:
@@ -73,9 +82,38 @@ def generic_join(
     relations: Mapping[str, AnnotatedRelation],
     semiring: SemiringSpec,
     stats: Optional[ExecStats] = None,
+    fold: Optional[AggregationOrdering] = None,
+    domains: Optional[DomainRegistry] = None,
 ) -> AnnotatedRelation:
     """Worst-case-optimal join: attribute-at-a-time expansion with candidate
-    intersection, smallest candidate set first."""
+    intersection, smallest candidate set first.
+
+    The attributes of ``fold`` are aggregated inside the recursion: they are
+    expanded last, outermost first, and each level folds what the levels below
+    it return, so the joined tuples are never stored.  The other attributes
+    come first, cheapest candidate sets first, and form the output schema.
+    ``sum``/``max``/``min`` fold with the semiring's additive operator;
+    ``prod`` keeps a group only if its nonzero values cover the attribute's
+    whole domain, as ``product_aggregate`` does.  An atom whose annotations
+    are all one only filters: it never enters a multiplication.
+    """
+    fold = fold or AggregationOrdering(())
+    steps = []  # per fold level: (additive operator, None) or (None, domain)
+    for attr, op in fold.items:
+        if attr not in h.vertices:
+            raise QueryError(f"cannot aggregate unknown attribute {attr!r}")
+        if op != PRODUCT:
+            steps.append((semiring.additive(op), None))
+            continue
+        if domains is None:
+            raise QueryError("product aggregation needs attribute domains")
+        if not semiring.multiply_idempotent:
+            raise QueryError(
+                f"product aggregation requires idempotent multiplication; "
+                f"semiring {semiring.name!r} is not"
+            )
+        steps.append((None, domains.domain(attr)))
+
     rels = []
     for e in h.edges:
         rel = relations[e.name]
@@ -88,14 +126,15 @@ def generic_join(
 
     if not rels:
         return AnnotatedRelation((), {(): semiring.one})
-    if any(not rel.tuples for rel in rels):
-        return AnnotatedRelation.empty(tuple(sorted(h.vertices)))
 
-    # Global attribute order: cheapest candidate sets first.
+    # Output attributes first, cheapest candidate sets first; folds last.
     def candidate_estimate(attr: str) -> int:
         return min(len(rel.distinct(attr)) for rel in rels if attr in rel.schema)
 
-    order = sorted(h.vertices, key=lambda a: (candidate_estimate(a), a))
+    free = sorted(h.vertices - fold.attrs(), key=lambda a: (candidate_estimate(a), a))
+    if any(not rel.tuples for rel in rels):
+        return AnnotatedRelation.empty(tuple(free))
+    order = free + list(fold.attr_list())
 
     tries = []
     for rel in rels:
@@ -109,38 +148,74 @@ def generic_join(
             for i in inner:
                 node = node.setdefault(row[i], {})
             node[row[last]] = lam
-        tries.append((levels, root))
-
-    out = AnnotatedRelation.empty(tuple(order))
-    store = out.tuples
+        tries.append(root)
+    # per level, the tries that hold its attribute (every attribute has one)
+    active = [[i for i, rel in enumerate(rels) if attr in rel.schema] for attr in order]
     one = semiring.one
     zero = semiring.zero
+    weighted = [i for i, rel in enumerate(rels) if any(lam != one for lam in rel.tuples.values())]
+
+    def matches(level: int, nodes: list):
+        """Each value every active trie holds, with the nodes one level down."""
+        act = active[level]
+        smallest = min(act, key=lambda i: len(nodes[i]))
+        others = [i for i in act if i != smallest]
+        for value, sub in nodes[smallest].items():
+            child = nodes.copy()
+            child[smallest] = sub
+            for i in others:
+                node = nodes[i]
+                if value not in node:
+                    break
+                child[i] = node[value]
+            else:
+                yield value, child
+
+    def folded(level: int, nodes: list):
+        """The fold over order[level:] of the leaf products below nodes."""
+        if level == len(order):
+            if not weighted:
+                return one
+            annotation = nodes[weighted[0]]
+            for i in weighted[1:]:
+                annotation = mul(annotation, nodes[i])
+            return annotation
+        add, domain = steps[level - len(free)]
+        acc = None
+        seen = 0
+        for value, child in matches(level, nodes):
+            lam = folded(level + 1, child)
+            if lam == zero:
+                continue
+            if domain is None:
+                acc = lam if acc is None else add(acc, lam)
+                continue
+            if value not in domain:
+                raise InternalError(
+                    f"value {value!r} for {order[level]!r} outside its registered domain"
+                )
+            seen += 1
+            acc = lam if acc is None else mul(acc, lam)
+        if acc is None or (domain is not None and seen != len(domain)):
+            return zero
+        return acc
+
+    out = AnnotatedRelation.empty(tuple(free))
+    store = out.tuples
     assignment: list = []
 
-    def recurse(level: int, nodes: list) -> None:
-        if level == len(order):
-            annotation = one
-            for node in nodes:
-                if not isinstance(node, dict):
-                    annotation = mul(annotation, node)
+    def expand(level: int, nodes: list) -> None:
+        if level == len(free):
+            annotation = folded(level, nodes)
             if annotation != zero:
                 store[tuple(assignment)] = annotation
             return
-        attr = order[level]
-        active = {i for i, (levels, _) in enumerate(tries) if attr in levels}
-        if not active:
-            return  # attribute uncovered: some relation was empty
-        smallest = min(active, key=lambda i: len(nodes[i]))
-        for value in nodes[smallest]:
-            if all(value in nodes[i] for i in active if i != smallest):
-                assignment.append(value)
-                recurse(
-                    level + 1,
-                    [nodes[i][value] if i in active else nodes[i] for i in range(len(nodes))],
-                )
-                assignment.pop()
+        for value, child in matches(level, nodes):
+            assignment.append(value)
+            expand(level + 1, child)
+            assignment.pop()
 
-    recurse(0, [root for _, root in tries])
+    expand(0, tries)
     return out
 
 
@@ -289,14 +364,10 @@ def aggro_yannakakis(
     return result
 
 
-def _bag_join_tree(
-    h: Hypergraph,
-    g: Ghd,
-    relations: Mapping[str, AnnotatedRelation],
-    semiring: SemiringSpec,
-    stats: Optional[ExecStats],
-) -> JoinTree:
-    """Run the within-bag joins, placing true annotations exactly once."""
+def _annotation_homes(h: Hypergraph, g: Ghd) -> dict[str, int]:
+    """Each relation's home: the topmost bag covering it, where its true
+    annotations enter.  It must be the only covering bag that is the TOP node
+    of one of its attributes."""
     tops = top_map(g)
     depth = g.depths()
     home: dict[str, int] = {}
@@ -311,30 +382,57 @@ def _bag_join_tree(
                 f"annotation-once placement for {e.name!r} is not unique"
             )
         home[e.name] = top_bag
+    return home
 
+
+def _bag_atoms(
+    h: Hypergraph,
+    g: Ghd,
+    t: int,
+    home: Mapping[str, int],
+    relations: Mapping[str, AnnotatedRelation],
+    one,
+) -> tuple[list[tuple[str, frozenset[str]]], dict[str, AnnotatedRelation]]:
+    """Bag t's atoms: the relations homed at t with their true annotations,
+    and π¹ of every other relation that touches the bag."""
+    bag = g.chi[t]
+    edges = []
+    local: dict[str, AnnotatedRelation] = {}
+    for e in h.edges:
+        rel = relations[e.name]
+        if home[e.name] == t:
+            local[e.name] = rel
+            edges.append((e.name, e.attrs))
+        elif e.attrs & bag:
+            local[e.name] = project_ones(rel, e.attrs & bag, one)
+            edges.append((e.name, e.attrs & bag))
+    return edges, local
+
+
+def _bag_hypergraph(bag: frozenset[str], edges) -> Hypergraph:
+    """The hypergraph of a bag's atoms, which must cover the whole bag."""
+    bag_h = Hypergraph.build(edges)
+    missing = bag - bag_h.vertices
+    if missing:
+        raise InternalError(f"bag {sorted(bag)} missing attributes {sorted(missing)}")
+    return bag_h
+
+
+def _bag_join_tree(
+    h: Hypergraph,
+    g: Ghd,
+    relations: Mapping[str, AnnotatedRelation],
+    semiring: SemiringSpec,
+    stats: Optional[ExecStats],
+) -> JoinTree:
+    """Run the within-bag joins, placing true annotations exactly once."""
+    home = _annotation_homes(h, g)
     bag_relations: dict[int, AnnotatedRelation] = {}
     for t, bag in g.chi.items():
-        local: dict[str, AnnotatedRelation] = {}
-        edges = []
-        inputs = 0
-        for e in h.edges:
-            rel = relations[e.name]
-            if home[e.name] == t:
-                local[e.name] = rel
-                edges.append((e.name, e.attrs))
-            elif e.attrs & bag:
-                local[e.name] = project_ones(rel, e.attrs & bag, semiring.one)
-                edges.append((e.name, e.attrs & bag))
-            else:
-                continue
-            inputs += len(local[e.name])
-        bag_h = Hypergraph.build(edges)
-        joined = generic_join(bag_h, local, semiring, stats)
-        missing = bag - frozenset(joined.schema)
-        if missing:
-            raise InternalError(f"bag {sorted(bag)} missing attributes {sorted(missing)}")
+        edges, local = _bag_atoms(h, g, t, home, relations, semiring.one)
+        joined = generic_join(_bag_hypergraph(bag, edges), local, semiring, stats)
         if stats:
-            stats.record_bag(f"bag{t}", inputs, len(joined))
+            stats.record_bag(f"bag{t}", sum(map(len, local.values())), len(joined))
         bag_relations[t] = joined
     return JoinTree(root=g.root, parent=dict(g.parent), relations=bag_relations)
 
@@ -360,11 +458,62 @@ def aggro_ghd_join(
     domains: Optional[DomainRegistry] = None,
     stats: Optional[ExecStats] = None,
 ) -> AnnotatedRelation:
-    """Aggregating GHD join; requires a GHD compatible with the ordering."""
+    """Aggregating GHD join; requires a GHD compatible with the ordering.
+
+    When every output attribute lies in the root bag, this is one post-order
+    pass of messages.  Bag t joins its atoms (``_bag_atoms``) and its
+    children's messages in ``generic_join``, folding its TOP attributes, in
+    the ordering's order, inside the join's recursion; the result, over the
+    attributes t shares with its parent, is t's message.  No bag is built
+    and no semijoin runs: each message already holds only what its subtree
+    can join with.  An arity-0 message is a scalar that multiplies its
+    parent's message once.
+
+    When some output attribute lies below the root, its values travel up
+    unaggregated and the messages would be as large as the bags, with no full
+    reducer to bound them.  Such plans materialize every bag instead
+    (``_bag_join_tree``) and run ``aggro_yannakakis``, whose semijoin passes
+    keep the join output-sensitive.  Which path runs is a property of the
+    plan alone.
+    """
     if not is_compatible(g, alpha):
         raise QueryError("GHD is not compatible with the aggregation ordering")
-    tree = _bag_join_tree(h, g, relations, semiring, stats)
-    return aggro_yannakakis(tree, alpha, semiring, domains, stats)
+    outputs = h.vertices - alpha.attrs()
+    if not outputs <= g.chi[g.root]:
+        tree = _bag_join_tree(h, g, relations, semiring, stats)
+        return aggro_yannakakis(tree, alpha, semiring, domains, stats)
+
+    home = _annotation_homes(h, g)
+    tops = top_map(g)
+    kids = g.children_map()
+    mul = _counted_multiply(semiring, stats)
+    messages: dict[int, AnnotatedRelation] = {}
+    for t in reversed(g.preorder()):
+        bag = g.chi[t]
+        edges, local = _bag_atoms(h, g, t, home, relations, semiring.one)
+        scalar = None
+        for c in kids[t]:
+            message = messages.pop(c)
+            if message.schema:
+                name = f"<bag{c}>"
+                local[name] = message
+                edges.append((name, frozenset(message.schema)))
+            elif not message:
+                return AnnotatedRelation.empty(tuple(sorted(outputs)))
+            else:
+                lam = message.tuples[()]
+                scalar = lam if scalar is None else mul(scalar, lam)
+        fold = alpha.restrict(a for a in bag if tops[a] == t)
+        message = generic_join(
+            _bag_hypergraph(bag, edges), local, semiring, stats, fold, domains
+        )
+        if scalar is not None:
+            scaled = ((row, mul(scalar, lam)) for row, lam in message.tuples.items())
+            message.tuples = {row: lam for row, lam in scaled if lam != semiring.zero}
+        if stats:
+            stats.record_bag(f"bag{t}", sum(map(len, local.values())), len(message))
+        messages[t] = message
+    return messages[g.root]
 
 
 def execute_aghd(

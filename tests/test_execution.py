@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from ajar import (
     ExecStats,
     Ghd,
     Hypergraph,
+    InternalError,
     JoinTree,
     PRODUCT,
     QueryError,
@@ -23,7 +25,9 @@ from ajar import (
 )
 from ajar.ghd import aghd_from_stitched, characteristic_tree, optimal_ghd, stitch_tree
 from ajar.oracle import RandomInstanceSpec, naive_eval
-from ajar import execution
+from ajar import execution, planner
+from ajar.execution import _bag_join_tree
+from ajar.planner import plan, run
 from conftest import ordering
 
 
@@ -40,6 +44,21 @@ def parity_cycle_instance(n, m):
     rels = {f"E{i}": AnnotatedRelation((f"A{i}", f"A{i % n + 1}"), same) for i in range(1, n)}
     rels[f"E{n}"] = AnnotatedRelation((f"A{n}", "A1"), flip)
     return h, rels
+
+
+def slope(points):
+    """Least-squares slope of log(y) against log(x)."""
+    xs = [math.log(x) for x, _ in points]
+    ys = [math.log(max(y, 1)) for _, y in points]
+    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    num = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    return num / sum((x - mean_x) ** 2 for x in xs)
+
+
+def materializing_join(h, g, alpha, relations, semiring, domains=None, stats=None):
+    """The bag-materializing pipeline, whatever the plan."""
+    tree = _bag_join_tree(h, g, relations, semiring, stats)
+    return aggro_yannakakis(tree, alpha, semiring, domains, stats)
 
 
 class TestGenericJoin:
@@ -83,6 +102,30 @@ class TestGenericJoin:
         h = Hypergraph.build([("R", ("A", "Z"))])
         with pytest.raises(QueryError):
             generic_join(h, {"R": fig1["R"]}, int_sr)
+
+    def test_fold_equals_aggregating_the_join(self):
+        configs = [("int", ["sum"]), ("qplus", ["max", "sum"]), ("minplus", ["min"]),
+                   ("bool01", ["max", PRODUCT])]
+        h = Hypergraph.build([("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))])
+        rng = random.Random(37)
+        for trial in range(40):
+            name, ops = configs[trial % len(configs)]
+            sr = get_semiring(name)
+            inst = RandomInstanceSpec(semiring_name=name, density=0.7, seed=trial).instance(h)
+            doms = DomainRegistry.from_declarations({}, inst)
+            attrs = rng.sample(["A", "B", "C"], rng.randint(0, 3))
+            fold = AggregationOrdering(tuple((a, rng.choice(ops)) for a in attrs))
+            got = generic_join(h, inst, sr, None, fold, doms)
+            want = execution._fold_ordering(generic_join(h, inst, sr), fold, sr, doms)
+            assert got == want, (name, fold.items)
+
+    def test_product_fold_rejects_value_outside_domain(self):
+        sr = get_semiring("bool01")
+        h = Hypergraph.build([("R", ("A", "B"))])
+        rels = {"R": AnnotatedRelation(("A", "B"), {(1, 1): 1, (1, 2): 1})}
+        doms = DomainRegistry(values={"A": frozenset({1}), "B": frozenset({1})})
+        with pytest.raises(InternalError):
+            generic_join(h, rels, sr, None, ordering(("B", PRODUCT)), doms)
 
 
 class TestYannakakis:
@@ -235,6 +278,108 @@ class TestAggroGhdJoin:
         assert payload["bag_output_tuples"]
         assert payload["annotation_multiplications"] > 0
         assert payload["intermediate_tuples"] > 0
+
+    def test_shared_stats_sum_bag_counts(self, fig1, int_sr, chain_h):
+        g = Ghd.chain([("A", "B"), ("B", "C")])
+        beta = ordering(("B", "sum"), ("C", "sum"))
+        once = ExecStats()
+        aggro_ghd_join(chain_h, g, beta, fig1, int_sr, None, once)
+        twice = ExecStats()
+        for _ in range(2):
+            aggro_ghd_join(chain_h, g, beta, fig1, int_sr, None, twice)
+        assert twice.bag_input_tuples == {k: 2 * v for k, v in once.bag_input_tuples.items()}
+        assert twice.bag_output_tuples == {k: 2 * v for k, v in once.bag_output_tuples.items()}
+        assert twice.intermediate_tuples == 2 * once.intermediate_tuples
+
+    def test_message_passing_annotation_once(self):
+        # each relation's tuples carry one distinct prime; under max, every
+        # output annotation of the 3-path is a max of equal path products,
+        # so it equals 2*3*5 exactly when each relation is multiplied once
+        sr = get_semiring("qplus")
+        h = Hypergraph.build([("R", ("A", "B")), ("S", ("B", "C")), ("T", ("C", "D"))])
+        g = Ghd.chain([("A", "C", "D"), ("A", "B", "C")])  # outputs A, D at the root
+        beta = ordering(("C", "max"), ("B", "max"))
+        primes = {"R": 2, "S": 3, "T": 5}
+        for seed in range(5):
+            inst = RandomInstanceSpec(semiring_name="qplus", density=0.7, seed=seed).instance(h)
+            rels = {
+                name: AnnotatedRelation(rel.schema, {row: primes[name] for row in rel.tuples})
+                for name, rel in inst.items()
+            }
+            stats = ExecStats()
+            out = aggro_ghd_join(h, g, beta, rels, sr, None, stats)
+            assert out and stats.semijoin_removed == 0
+            assert set(out.tuples.values()) == {30}
+            assert out == naive_eval(h, beta, rels, None, sr)
+
+    def test_message_passing_matches_materializing(self, monkeypatch):
+        # run() on message-passing plans against the bag-materializing
+        # pipeline and the oracle; plans with an output attribute below the
+        # root take the materializing path themselves
+        configs = [
+            ("int", ["sum"]),
+            ("qplus", ["max", "sum"]),
+            ("minplus", ["min"]),
+            ("bool01", ["max", PRODUCT, PRODUCT]),
+        ]
+        materialized = []
+        calls = []
+        original = execution.aggro_yannakakis
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(execution, "aggro_yannakakis", spy)
+        rng = random.Random(83)
+        for trial in range(120):
+            name, ops = configs[trial % len(configs)]
+            sr = get_semiring(name)
+            n = rng.randint(2, 5)
+            attrs = [f"X{i}" for i in range(n)]
+            shuffled = rng.sample(attrs, n)
+            edges = [(f"E{i}", (shuffled[i], shuffled[i + 1])) for i in range(n - 1)]
+            for j in range(rng.randint(0, 1)):
+                edges.append((f"G{j}", tuple(rng.sample(attrs, rng.randint(1, min(3, n))))))
+            h = Hypergraph.build(edges)
+            alpha = AggregationOrdering(
+                tuple((a, rng.choice(ops)) for a in rng.sample(attrs, rng.randint(0, n)))
+            )
+            inst = RandomInstanceSpec(
+                semiring_name=name, domain_size=rng.choice([2, 3]),
+                density=rng.choice([0.6, 0.9]), seed=8000 + trial,
+            ).instance(h)
+            doms = DomainRegistry.from_declarations({}, inst)
+            p = plan(h, alpha)
+            calls.clear()
+            got = run(p, inst, doms, sr)
+            materialized.append(bool(calls))
+            with monkeypatch.context() as m:
+                m.setattr(execution, "aggro_ghd_join", materializing_join)
+                m.setattr(planner, "aggro_ghd_join", materializing_join)
+                reference = run(p, inst, doms, sr)
+            context = (name, alpha.items, [(e.name, sorted(e.attrs)) for e in h.edges])
+            assert got == reference, context
+            assert got == naive_eval(h, alpha, inst, doms, sr), context
+        print(materialized.count(False), materialized.count(True))
+        assert materialized.count(False) >= 20 and materialized.count(True) >= 10
+
+    def test_aggregated_parity_cycle_is_output_sensitive(self, int_sr):
+        # criterion 8's instance with every attribute aggregated: the root
+        # holds no output, so messages carry it, and their total size grows
+        # no faster than the relations themselves
+        alpha = AggregationOrdering(tuple((f"A{i}", "sum") for i in range(1, 7)))
+        points = []
+        for big_n in (16, 64, 256):
+            h, rels = parity_cycle_instance(6, math.isqrt(big_n))
+            p = plan(h, alpha)
+            stats = ExecStats()
+            assert not run(p, rels, None, int_sr, stats)
+            baseline = ExecStats()
+            materializing_join(h, p.ghd, p.beta, rels, int_sr, None, baseline)
+            assert stats.intermediate_tuples < baseline.intermediate_tuples
+            points.append((big_n, stats.intermediate_tuples))
+        assert slope(points) <= 2.0 + 0.1, points
 
 
 class TestExecuteAghd:
