@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 # Transitive closure by doubling: evaluate the 2^n-step reachability query
 # as an aggregate-join over renamed copies until the result stabilizes.
-# Over min-plus with zero-weight self-loops this is all-pairs shortest paths.
+# Every node needs a zero-weight self-loop (min-plus's one), so 2^n steps
+# cover all shorter walks; then this is all-pairs shortest paths, reached
+# within ceil(log2 V) + 1 rounds unless a negative cycle prevents a fixpoint.
+# A missing self-loop, or no fixpoint within that budget, is a QueryError.
 
 from ajar import AnnotatedRelation, INF, get_semiring, transitive_closure
 from ajar.oracle import floyd_warshall

@@ -9,13 +9,10 @@ aggregating Yannakakis pass.
 from .errors import AjarError, ExtensionOverflow, InternalError, ParseError, QueryError
 from .execution import (
     ExecStats,
-    JoinTree,
     aggro_ghd_join,
     aggro_yannakakis,
     execute_aghd,
     generic_join,
-    ghd_join,
-    yannakakis,
 )
 from .ghd import (
     Aghd,
@@ -33,7 +30,7 @@ from .ghd import (
     top_map,
     width,
 )
-from .hypergraph import Edge, Hypergraph, connected_components, edges_touching, path_exists
+from .hypergraph import Edge, Hypergraph, connected_components, edges_touching, find_path
 from .oracle import (
     RandomInstanceSpec,
     exhaustive_valid_ghds,
@@ -45,7 +42,6 @@ from .ordering import (
     PrecedenceRelation,
     compute_prec,
     linear_extensions,
-    restrict_ordering,
     test_equivalence,
     test_equivalence_product,
 )

@@ -17,7 +17,7 @@ from .dataio import (
     write_relation_csv,
 )
 from .errors import AjarError, InternalError, QueryError
-from .execution import ExecStats, aggro_ghd_join
+from .execution import ExecStats
 from .oracle import RandomInstanceSpec, naive_eval
 from .ordering import explain_equivalence
 from .planner import plan as build_plan

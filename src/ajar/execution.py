@@ -1,13 +1,15 @@
 """Query execution: worst-case-optimal joins that fold inside their
-recursion, message passing over a GHD, and the materializing Yannakakis
-pipeline it falls back to.
+recursion, run over one ``Ghd`` by either of two paths.
 
-``aggro_ghd_join`` runs one post-order pass over the decomposition when
-every output attribute lies in the root bag: each bag joins its atoms and its
-children's messages in ``generic_join``, aggregating its TOP attributes as
-the recursion returns, and passes the result up (InsideOut-style variable
-elimination).  A plan with an output attribute below the root instead
-materializes every bag and runs the semijoin passes of ``aggro_yannakakis``.
+``aggro_ghd_join`` first checks that the tree is a GHD of the query (edge
+cover and running intersection) compatible with the ordering.  When every
+output attribute lies in the root bag it runs one post-order pass of
+messages: each bag joins its atoms and its children's messages in
+``generic_join``, aggregating its TOP attributes as the recursion returns,
+and passes the result up (InsideOut-style variable elimination).  A plan with
+an output attribute below the root instead materializes every bag, keyed by
+the same node ids, and runs the semijoin passes of ``aggro_yannakakis`` over
+the same tree.  A full join is ``aggro_ghd_join`` with the empty ordering.
 
 Annotations are multiplied exactly once per output tuple: a relation enters
 with its true annotations only at the topmost bag containing all of its
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import InternalError, QueryError
-from .ghd import Aghd, Ghd, is_compatible, top_map
+from .ghd import Aghd, Ghd, is_compatible, is_ghd, top_map
 from .hypergraph import Hypergraph
 from .ordering import AggregationOrdering
 from .relations import (
@@ -219,103 +221,24 @@ def generic_join(
     return out
 
 
-@dataclass
-class JoinTree:
-    """Rooted tree whose nodes carry intermediate relations."""
-
-    root: int
-    parent: dict[int, Optional[int]]
-    relations: dict[int, AnnotatedRelation]
-
-    def children_map(self) -> dict[int, list[int]]:
-        kids: dict[int, list[int]] = {t: [] for t in self.parent}
-        for t, p in self.parent.items():
-            if p is not None:
-                kids[p].append(t)
-        for lst in kids.values():
-            lst.sort()
-        return kids
-
-    def preorder(self) -> list[int]:
-        kids = self.children_map()
-        out, stack = [], [self.root]
-        while stack:
-            t = stack.pop()
-            out.append(t)
-            stack.extend(reversed(kids[t]))
-        return out
-
-    def postorder(self) -> list[int]:
-        return list(reversed(self.preorder()))
-
-    def depths(self) -> dict[int, int]:
-        depth = {self.root: 0}
-        for t in self.preorder()[1:]:
-            depth[t] = depth[self.parent[t]] + 1
-        return depth
-
-    def is_join_tree(self) -> bool:
-        """Connected-subtree property over the node schemas."""
-        kids = self.children_map()
-        attrs = {a for rel in self.relations.values() for a in rel.schema}
-        for attr in attrs:
-            holders = {t for t, rel in self.relations.items() if attr in rel.schema}
-            start = next(iter(holders))
-            seen, stack = {start}, [start]
-            while stack:
-                t = stack.pop()
-                for nxt in kids[t] + ([self.parent[t]] if self.parent[t] is not None else []):
-                    if nxt in holders and nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            if seen != holders:
-                return False
-        return True
-
-    def top_of(self) -> dict[str, int]:
-        depth = self.depths()
-        tops: dict[str, int] = {}
-        for attr in {a for rel in self.relations.values() for a in rel.schema}:
-            holders = [t for t, rel in self.relations.items() if attr in rel.schema]
-            tops[attr] = min(holders, key=lambda t: (depth[t], t))
-        return tops
-
-
-def _semijoin_passes(tree: JoinTree, work: dict[int, AnnotatedRelation], stats) -> None:
-    for t in tree.postorder():
-        p = tree.parent[t]
+def _semijoin_passes(g: Ghd, work: dict[int, AnnotatedRelation], stats) -> None:
+    order = g.preorder()
+    for t in reversed(order):
+        p = g.parent[t]
         if p is None:
             continue
         before = len(work[p])
         work[p] = semijoin(work[p], work[t])
         if stats:
             stats.semijoin_removed += before - len(work[p])
-    for t in tree.preorder():
-        p = tree.parent[t]
+    for t in order:
+        p = g.parent[t]
         if p is None:
             continue
         before = len(work[t])
         work[t] = semijoin(work[t], work[p])
         if stats:
             stats.semijoin_removed += before - len(work[t])
-
-
-def yannakakis(
-    tree: JoinTree, semiring: SemiringSpec, stats: Optional[ExecStats] = None
-) -> AnnotatedRelation:
-    """Semijoin reduce up, then down, then join bottom-up; equals the full join."""
-    if not tree.is_join_tree():
-        raise QueryError("node schemas violate the join-tree property")
-    work = dict(tree.relations)
-    _semijoin_passes(tree, work, stats)
-    for t in tree.postorder():
-        p = tree.parent[t]
-        if p is None:
-            continue
-        work[p] = join([work[p], work[t]], semiring)
-        if stats:
-            stats.record_join(len(work[p]))
-    return work[tree.root]
 
 
 def _fold_ordering(
@@ -336,32 +259,29 @@ def _fold_ordering(
 
 
 def aggro_yannakakis(
-    tree: JoinTree,
+    g: Ghd,
+    bags: Mapping[int, AnnotatedRelation],
     alpha: AggregationOrdering,
     semiring: SemiringSpec,
     domains: Optional[DomainRegistry] = None,
     stats: Optional[ExecStats] = None,
 ) -> AnnotatedRelation:
-    """Yannakakis with aggregations pushed to each attribute's top node."""
-    if not tree.is_join_tree():
-        raise QueryError("node schemas violate the join-tree property")
-    tops = tree.top_of()
-    work = dict(tree.relations)
-    _semijoin_passes(tree, work, stats)
-    result: Optional[AnnotatedRelation] = None
-    for t in tree.postorder():
+    """Semijoin reduce up, then down, then join bottom-up, aggregating each
+    attribute at its TOP node; bags[t] is bag t's relation, over g.chi[t]."""
+    if not is_ghd(Hypergraph(frozenset(), ()), g):  # running intersection only
+        raise QueryError("bags violate the running-intersection property")
+    tops = top_map(g)
+    work = dict(bags)
+    _semijoin_passes(g, work, stats)
+    for t in reversed(g.preorder()):
         mine = {a for a, node in tops.items() if node == t}
         folded = _fold_ordering(work[t], alpha.restrict(mine), semiring, domains)
-        p = tree.parent[t]
+        p = g.parent[t]
         if p is None:
-            result = folded
-        else:
-            work[p] = join([work[p], folded], semiring)
-            if stats:
-                stats.record_join(len(work[p]))
-    if result is None:
-        raise InternalError("join tree had no root")
-    return result
+            return folded
+        work[p] = join([work[p], folded], semiring)
+        if stats:
+            stats.record_join(len(work[p]))
 
 
 def _annotation_homes(h: Hypergraph, g: Ghd) -> dict[str, int]:
@@ -424,29 +344,18 @@ def _bag_join_tree(
     relations: Mapping[str, AnnotatedRelation],
     semiring: SemiringSpec,
     stats: Optional[ExecStats],
-) -> JoinTree:
-    """Run the within-bag joins, placing true annotations exactly once."""
+) -> dict[int, AnnotatedRelation]:
+    """Run the within-bag joins, placing true annotations exactly once; the
+    bag relations are keyed by g's node ids."""
     home = _annotation_homes(h, g)
-    bag_relations: dict[int, AnnotatedRelation] = {}
+    bags: dict[int, AnnotatedRelation] = {}
     for t, bag in g.chi.items():
         edges, local = _bag_atoms(h, g, t, home, relations, semiring.one)
         joined = generic_join(_bag_hypergraph(bag, edges), local, semiring, stats)
         if stats:
             stats.record_bag(f"bag{t}", sum(map(len, local.values())), len(joined))
-        bag_relations[t] = joined
-    return JoinTree(root=g.root, parent=dict(g.parent), relations=bag_relations)
-
-
-def ghd_join(
-    h: Hypergraph,
-    g: Ghd,
-    relations: Mapping[str, AnnotatedRelation],
-    semiring: SemiringSpec,
-    stats: Optional[ExecStats] = None,
-) -> AnnotatedRelation:
-    """Generic join per bag, then Yannakakis over the bag tree."""
-    tree = _bag_join_tree(h, g, relations, semiring, stats)
-    return yannakakis(tree, semiring, stats)
+        bags[t] = joined
+    return bags
 
 
 def aggro_ghd_join(
@@ -458,7 +367,7 @@ def aggro_ghd_join(
     domains: Optional[DomainRegistry] = None,
     stats: Optional[ExecStats] = None,
 ) -> AnnotatedRelation:
-    """Aggregating GHD join; requires a GHD compatible with the ordering.
+    """Aggregating GHD join; requires a GHD of h compatible with the ordering.
 
     When every output attribute lies in the root bag, this is one post-order
     pass of messages.  Bag t joins its atoms (``_bag_atoms``) and its
@@ -474,14 +383,16 @@ def aggro_ghd_join(
     reducer to bound them.  Such plans materialize every bag instead
     (``_bag_join_tree``) and run ``aggro_yannakakis``, whose semijoin passes
     keep the join output-sensitive.  Which path runs is a property of the
-    plan alone.
+    plan alone.  With the empty ordering both compute the full join.
     """
+    if not is_ghd(h, g):
+        raise QueryError("bags do not form a GHD of the query")
     if not is_compatible(g, alpha):
         raise QueryError("GHD is not compatible with the aggregation ordering")
     outputs = h.vertices - alpha.attrs()
     if not outputs <= g.chi[g.root]:
-        tree = _bag_join_tree(h, g, relations, semiring, stats)
-        return aggro_yannakakis(tree, alpha, semiring, domains, stats)
+        bags = _bag_join_tree(h, g, relations, semiring, stats)
+        return aggro_yannakakis(g, bags, alpha, semiring, domains, stats)
 
     home = _annotation_homes(h, g)
     tops = top_map(g)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import InternalError, QueryError
-from .hypergraph import Edge, Hypergraph, connected_components, path_exists
+from .hypergraph import Edge, Hypergraph, connected_components, find_path
 from .lp import fractional_cover_value
 from .ordering import AggregationOrdering, PrecedenceRelation, compute_prec
 from .semirings import PRODUCT, log_cost
@@ -74,6 +74,23 @@ class Ghd:
             t = self.parent[t]
         return False
 
+    def regions(self, nodes: Iterable[int]) -> list[set[int]]:
+        """Split nodes into maximal tree-connected regions, in preorder of
+        their topmost nodes (the members whose parent lies outside the set)."""
+        nodes = set(nodes)
+        region_of: dict[int, set[int]] = {}
+        out: list[set[int]] = []
+        for t in self.preorder():  # a parent comes before its children
+            if t not in nodes:
+                continue
+            region = region_of.get(self.parent[t])
+            if region is None:
+                region = set()
+                out.append(region)
+            region.add(t)
+            region_of[t] = region
+        return out
+
     def subtree(self, t: int) -> list[int]:
         kids = self.children_map()
         out, stack = [], [t]
@@ -115,27 +132,16 @@ class Ghd:
 
 
 def is_ghd(h: Hypergraph, g: Ghd) -> bool:
-    """Edge cover plus running intersection."""
+    """Edge cover plus running intersection: the bags holding each attribute
+    form exactly one region (none when the attribute is never placed)."""
     bags = list(g.chi.values())
     for e in h.edges:
         if not any(e.attrs <= bag for bag in bags):
             return False
-    kids = g.children_map()
-    for attr in g.attr_universe() | h.vertices:
-        holders = {t for t, bag in g.chi.items() if attr in bag}
-        if not holders:
-            return False  # attribute never placed
-        start = next(iter(holders))
-        seen, stack = {start}, [start]
-        while stack:
-            t = stack.pop()
-            for nxt in kids[t] + ([g.parent[t]] if g.parent[t] is not None else []):
-                if nxt in holders and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != holders:
-            return False
-    return True
+    return all(
+        len(g.regions(t for t, bag in g.chi.items() if attr in bag)) == 1
+        for attr in g.attr_universe() | h.vertices
+    )
 
 
 def top_map(g: Ghd) -> dict[str, int]:
@@ -216,22 +222,20 @@ class Aghd:
     hypergraph_p: Hypergraph
     original: dict[str, str]  # renamed attr -> original attr
 
-    def copy_tops(self) -> dict[str, set[int]]:
-        tops = top_map(self.tree)
-        grouped: dict[str, set[int]] = {}
-        for attr, node in tops.items():
-            grouped.setdefault(self.original.get(attr, attr), set()).add(node)
-        return grouped
+
+def top_sets(g: Ghd | Aghd) -> tuple[Ghd, dict[str, set[int]]]:
+    """The tree of g and each attribute's TOP nodes: one per attribute, or in
+    an AGHD one per copy of a product attribute, under the original name."""
+    tree, original = (g.tree, g.original) if isinstance(g, Aghd) else (g, {})
+    tops: dict[str, set[int]] = {}
+    for attr, node in top_map(tree).items():
+        tops.setdefault(original.get(attr, attr), set()).add(node)
+    return tree, tops
 
 
 def is_compatible(g: Ghd | Aghd, beta: AggregationOrdering) -> bool:
     """No attribute may sit above a non-output attribute that precedes it."""
-    if isinstance(g, Aghd):
-        tree = g.tree
-        tops = {a: frozenset(nodes) for a, nodes in g.copy_tops().items()}
-    else:
-        tree = g
-        tops = {a: frozenset((t,)) for a, t in top_map(g).items()}
+    tree, tops = top_sets(g)
     outputs = frozenset(tops) - beta.attrs()
     order = {a: i for i, (a, _) in enumerate(beta.items)}
     attrs = sorted(tops)
@@ -358,7 +362,7 @@ def _front_set(
             suffix = items[i:]
             prods = {a for a, op in suffix if op == PRODUCT}
             allowed = ({a for a, _ in suffix} - prods) | {attr_i, attr_j}
-            if path_exists(h, attr_j, attr_i, allowed):
+            if find_path(h, attr_j, attr_i, allowed) is not None:
                 ok = False
                 break
         if ok:
@@ -482,28 +486,10 @@ def aghd_from_stitched(
     the region holding its covering bag.
     """
     prod_attrs = alpha.product_attrs()
-    kids = tree.children_map()
-    order = {t: i for i, t in enumerate(tree.preorder())}
-
     region_of: dict[str, dict[int, int]] = {}
     blocks: dict[str, tuple[frozenset[str], ...]] = {}
     for attr in sorted(prod_attrs):
-        holders = {t for t, bag in tree.chi.items() if attr in bag}
-        regions: list[set[int]] = []
-        unseen = set(holders)
-        while unseen:
-            start = min(unseen, key=lambda t: order[t])
-            stack, region = [start], set()
-            while stack:
-                t = stack.pop()
-                if t in region:
-                    continue
-                region.add(t)
-                neighbours = kids[t] + ([tree.parent[t]] if tree.parent[t] is not None else [])
-                stack.extend(n for n in neighbours if n in holders and n not in region)
-            unseen -= region
-            regions.append(region)
-        regions.sort(key=lambda r: min(order[t] for t in r))
+        regions = tree.regions(t for t, bag in tree.chi.items() if attr in bag)
         node_region = {t: k for k, region in enumerate(regions) for t in region}
         region_of[attr] = node_region
         assigned: list[set[str]] = [set() for _ in regions]
@@ -661,10 +647,7 @@ def _merge_redundant(g: Ghd) -> Ghd:
     changed = True
     while changed:
         changed = False
-        kids: dict[int, list[int]] = {t: [] for t in parent}
-        for t, p in parent.items():
-            if p is not None:
-                kids[p].append(t)
+        kids = Ghd(root=root, parent=parent, chi=chi).children_map()
         for t in sorted(parent):
             p = parent[t]
             if p is None:
@@ -707,13 +690,9 @@ def is_subtree_connected(h: Hypergraph, g: Ghd) -> bool:
     for t in g.parent:
         region = set(g.subtree(t))
         attrs = {a for a, node in tops.items() if node in region}
-        if attrs and len(connected_components_within(h, attrs)) > 1:
+        if attrs and len(connected_components(h, h.vertices - attrs)) > 1:
             return False
     return True
-
-
-def connected_components_within(h: Hypergraph, attrs: set[str]) -> list[frozenset[str]]:
-    return connected_components(h, h.vertices - attrs)
 
 
 def normalize_decomposable(
@@ -734,13 +713,6 @@ def normalize_decomposable(
     rank = {a: i for i, a in enumerate(outputs)}
     rank.update({a: len(outputs) + i for i, (a, _) in enumerate(alpha.items)})
 
-    def kids_of() -> dict[int, list[int]]:
-        kids: dict[int, list[int]] = {t: [] for t in parent}
-        for t, p in parent.items():
-            if p is not None:
-                kids[p].append(t)
-        return kids
-
     def current() -> Ghd:
         return Ghd(root=root, parent=parent, chi=chi)
 
@@ -750,7 +722,7 @@ def normalize_decomposable(
         inverse: dict[int, list[str]] = {t: [] for t in parent}
         for a, t in tops.items():
             inverse[t].append(a)
-        kids = kids_of()
+        kids = current().children_map()
         target = None
         for t in sorted(parent):
             count = len(inverse[t])
@@ -794,7 +766,7 @@ def normalize_decomposable(
         inverse: dict[int, list[str]] = {t: [] for t in parent}
         for a, t in tops.items():
             inverse[t].append(a)
-        kids = kids_of()
+        kids = snapshot.children_map()
         for t in snapshot.preorder():
             if not inverse[t]:
                 continue

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import AbstractSet, Iterable, Optional
 
 from .errors import QueryError
 
@@ -39,21 +39,15 @@ class Hypergraph:
         vertices = frozenset().union(*(e.attrs for e in tagged)) if tagged else frozenset()
         return cls(vertices=vertices, edges=tuple(tagged))
 
-    def edge(self, name: str) -> Edge:
-        for e in self.edges:
-            if e.name == name:
-                return e
-        raise QueryError(f"no edge named {name!r}")
 
-    def edge_map(self) -> dict[str, frozenset[str]]:
-        return {e.name: e.attrs for e in self.edges}
-
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            for a in e.attrs:
-                adj[a] |= e.attrs - {a}
-        return adj
+def _restricted_adjacency(h: Hypergraph, alive: AbstractSet[str]) -> dict[str, set[str]]:
+    """Neighbours among the alive vertices, edges restricted to them."""
+    adj: dict[str, set[str]] = {v: set() for v in alive}
+    for e in h.edges:
+        surviving = e.attrs & alive
+        for a in surviving:
+            adj[a] |= surviving - {a}
+    return adj
 
 
 def connected_components(h: Hypergraph, removed: Iterable[str]) -> list[frozenset[str]]:
@@ -65,11 +59,7 @@ def connected_components(h: Hypergraph, removed: Iterable[str]) -> list[frozense
     if not removed <= h.vertices:
         raise QueryError(f"removed attributes {removed - h.vertices} not in hypergraph")
     alive = h.vertices - removed
-    adj: dict[str, set[str]] = {v: set() for v in alive}
-    for e in h.edges:
-        surviving = e.attrs & alive
-        for a in surviving:
-            adj[a] |= surviving - {a}
+    adj = _restricted_adjacency(h, alive)
     components = []
     unseen = set(alive)
     while unseen:
@@ -87,27 +77,28 @@ def connected_components(h: Hypergraph, removed: Iterable[str]) -> list[frozense
     return components
 
 
-def path_exists(h: Hypergraph, a: str, b: str, allowed: Iterable[str]) -> bool:
-    """True iff a and b connect through attributes in allowed only."""
+def find_path(
+    h: Hypergraph, a: str, b: str, allowed: Iterable[str]
+) -> Optional[tuple[str, ...]]:
+    """A path from a to b through attributes in allowed only, or None."""
     allowed = set(allowed)
     if a not in allowed or b not in allowed or not allowed <= h.vertices:
         raise QueryError("path endpoints must lie in allowed ⊆ vertices")
-    if a == b:
-        return True
-    adj: dict[str, set[str]] = {v: set() for v in allowed}
-    for e in h.edges:
-        surviving = e.attrs & allowed
-        for v in surviving:
-            adj[v] |= surviving - {v}
+    adj = _restricted_adjacency(h, allowed)
+    prev: dict[str, str] = {}
     stack, seen = [a], {a}
     while stack:
         v = stack.pop()
         if v == b:
-            return True
+            path = [b]
+            while path[-1] != a:
+                path.append(prev[path[-1]])
+            return tuple(reversed(path))
         for w in adj[v] - seen:
             seen.add(w)
+            prev[w] = v
             stack.append(w)
-    return False
+    return None
 
 
 def edges_touching(h: Hypergraph, attrs: Iterable[str]) -> tuple[Edge, ...]:

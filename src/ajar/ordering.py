@@ -10,11 +10,11 @@ exactly the equivalent orderings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import ExtensionOverflow, InternalError, QueryError
-from .hypergraph import Hypergraph, connected_components, path_exists
+from .hypergraph import Hypergraph, connected_components, find_path
 from .semirings import PRODUCT
 
 
@@ -83,10 +83,6 @@ class AggregationOrdering:
         raise QueryError(f"attribute {attr!r} not in ordering")
 
 
-def restrict_ordering(alpha: AggregationOrdering, attrs: Iterable[str]) -> AggregationOrdering:
-    return alpha.restrict(attrs)
-
-
 @dataclass(frozen=True)
 class Violation:
     """First constraint that rejected an equivalence candidate."""
@@ -112,31 +108,6 @@ def _precheck(
         return Violation("", "", "operators-differ")
     if not allow_products and alpha.has_products():
         return Violation("", "", "product-operator-present")
-    return None
-
-
-def _find_path(h: Hypergraph, a: str, b: str, allowed: set[str]) -> Optional[tuple[str, ...]]:
-    """A concrete path from a to b within allowed, or None."""
-    if a not in allowed or b not in allowed:
-        return None
-    adj: dict[str, set[str]] = {v: set() for v in allowed}
-    for e in h.edges:
-        surviving = e.attrs & allowed
-        for v in surviving:
-            adj[v] |= surviving - {v}
-    prev: dict[str, str] = {}
-    stack, seen = [a], {a}
-    while stack:
-        v = stack.pop()
-        if v == b:
-            path = [b]
-            while path[-1] != a:
-                path.append(prev[path[-1]])
-            return tuple(reversed(path))
-        for w in adj[v] - seen:
-            seen.add(w)
-            prev[w] = v
-            stack.append(w)
     return None
 
 
@@ -172,7 +143,7 @@ def _test_recursive(
         allowed = {a for a, _ in beta.items[i:]}
         if products:
             allowed = (allowed - prod_attrs) | {b_i, head_attr}
-        path = _find_path(h, b_i, head_attr, allowed)
+        path = find_path(h, b_i, head_attr, allowed)
         if path is not None:
             return Violation(b_i, head_attr, "blocked-path", path)
     return _test_recursive(h, alpha.without([head_attr]), beta.without([head_attr]), products)

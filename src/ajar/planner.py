@@ -20,10 +20,10 @@ from .ghd import (
     is_valid,
     optimal_ghd,
     stitch_tree,
-    top_map,
+    top_sets,
     width,
 )
-from .hypergraph import Edge, Hypergraph
+from .hypergraph import Hypergraph
 from .ordering import (
     AggregationOrdering,
     compute_prec,
@@ -122,13 +122,7 @@ def _compatible_ordering(
     tree: Ghd | Aghd, alpha: AggregationOrdering
 ) -> AggregationOrdering:
     """Topological order of TOP nodes, ties broken by alpha's order."""
-    if isinstance(tree, Aghd):
-        g = tree.tree
-        tops = {a: frozenset(ns) for a, ns in tree.copy_tops().items() if a in alpha.attrs()}
-    else:
-        g = tree
-        full = top_map(tree)
-        tops = {a: frozenset((full[a],)) for a in alpha.attr_list()}
+    g, tops = top_sets(tree)
     pending = list(alpha.attr_list())
     ordered: list[tuple[str, str]] = []
     while pending:
@@ -177,44 +171,30 @@ def plan(
         optimal_ghd(part.hypergraph, sizes=None, mode=mode, cap=cap, cost_edges=cost)
         for part in parts
     ]
-    stitched = stitch_tree(tree, part_ghds)
-
+    decomposition: Ghd | Aghd = stitch_tree(tree, part_ghds)
     if products:
-        aghd = aghd_from_stitched(h, alpha, stitched)
-        beta = _compatible_ordering(aghd, alpha)
-        if not test_equivalence_product(h, alpha, beta):
-            raise InternalError("derived ordering is not equivalent to the query's")
-        if not is_compatible(aghd, beta):
-            raise InternalError("stitched AGHD incompatible with derived ordering")
-        report = width(aghd.tree, aghd.hypergraph_p, sizes, mode)
-        part_widths = _regroup_part_widths(parts, part_ghds, report)
-        return Plan(h, alpha, aghd, beta, report, [p.hypergraph for p in parts], part_widths, prepass)
-
-    beta = _compatible_ordering(stitched, alpha)
-    if not test_equivalence(h, alpha, beta):
+        decomposition = aghd_from_stitched(h, alpha, decomposition)
+    beta = _compatible_ordering(decomposition, alpha)
+    equivalent = test_equivalence_product if products else test_equivalence
+    if not equivalent(h, alpha, beta):
         raise InternalError("derived ordering is not equivalent to the query's")
-    if not is_compatible(stitched, beta):
-        raise InternalError("stitched GHD incompatible with derived ordering")
-    if not is_valid(h, compute_prec(h, alpha), stitched):
+    if not is_compatible(decomposition, beta):
+        raise InternalError("stitched decomposition incompatible with derived ordering")
+    if not products and not is_valid(h, compute_prec(h, alpha), decomposition):
         raise InternalError("stitched GHD is not valid")
-    report = width(stitched, h, sizes, mode)
-    part_widths = [
-        width(g, h, sizes, mode).width for g in part_ghds
-    ]
-    return Plan(h, alpha, stitched, beta, report, [p.hypergraph for p in parts], part_widths, prepass)
+    if products:
+        report = width(decomposition.tree, decomposition.hypergraph_p, sizes, mode)
+    else:
+        report = width(decomposition, h, sizes, mode)
+    part_widths = _regroup_part_widths(part_ghds, report)
+    return Plan(h, alpha, decomposition, beta, report, [p.hypergraph for p in parts], part_widths, prepass)
 
 
-def _regroup_part_widths(parts, part_ghds, report: WidthReport) -> list[Any]:
-    """Per-part widths read off the stitched report, in part order."""
-    widths = []
-    offset = 0
-    values = list(report.per_bag.values())
-    for g in part_ghds:
-        count = len(g.chi)
-        chunk = values[offset : offset + count]
-        offset += count
-        widths.append(max(chunk) if chunk else report.width)
-    return widths
+def _regroup_part_widths(part_ghds: list[Ghd], report: WidthReport) -> list[Any]:
+    """Per-part widths read off the stitched report, whose bags come part by
+    part in part order, so no bag's cover LP is solved twice."""
+    values = iter(report.per_bag.values())
+    return [max(itertools.islice(values, len(g.chi))) for g in part_ghds]
 
 
 def run(
@@ -283,33 +263,6 @@ def closure_chain_ghd(k: int) -> Ghd:
     return Ghd.chain([frozenset(b) for b in bags])
 
 
-def closure_doubling_ghd(k: int, lo: int = 1, offset: Optional[int] = None) -> Ghd:
-    """Balanced recursive GHD for the k-step query, k a power of two.
-
-    The root holds the endpoints and the midpoint; its children are the
-    decompositions of the two halves.  Depth is log2(k).
-    """
-    if k & (k - 1):
-        raise QueryError("doubling GHD needs a power-of-two step count")
-
-    counter = itertools.count()
-    parent: dict[int, Optional[int]] = {}
-    chi: dict[int, frozenset[str]] = {}
-
-    def build(lo: int, hi: int, up: Optional[int]) -> int:
-        node = next(counter)
-        parent[node] = up
-        mid = (lo + hi) // 2
-        chi[node] = frozenset((f"A{lo}", f"A{mid}", f"A{hi}"))
-        if hi - lo > 2:
-            build(lo, mid, node)
-            build(mid, hi, node)
-        return node
-
-    root = build(1, k + 1, None)
-    return Ghd(root=root, parent=parent, chi=chi)
-
-
 def _k_step_query(
     k: int, op: str
 ) -> tuple[Hypergraph, AggregationOrdering]:
@@ -328,8 +281,12 @@ def transitive_closure(
 ) -> AnnotatedRelation:
     """Doubling fixpoint: evaluate the 2^n-step query until it stabilizes.
 
-    The caller ensures a fixpoint exists (for min-plus: no negative cycles
-    and zero-weight self-loops).
+    Every node needs a self-loop annotated with the semiring's one, so that
+    2^n steps cover every shorter walk; a node without one is a QueryError.
+    A fixpoint also needs no improving cycle (for min-plus: no negative
+    cycle).  Walks of at most |V| - 1 steps are then all covered after
+    ceil(log2 |V|) rounds and confirmed by one more, so the rounds stop at
+    that budget (or max_iters, if smaller) with a QueryError.
     """
     if len(rel.schema) != 2:
         raise QueryError("transitive closure needs a binary relation")
@@ -337,12 +294,21 @@ def transitive_closure(
         if len(semiring.additive_ops) != 1:
             raise QueryError("specify which additive operator to close over")
         (op,) = semiring.additive_ops
+    nodes = {v for row in rel.tuples for v in row}
+    loopless = [v for v in nodes if rel.tuples.get((v, v)) != semiring.one]
+    if loopless:
+        first = min(loopless, key=lambda v: (isinstance(v, str), v))
+        raise QueryError(
+            f"node {first!r} needs a self-loop annotated {semiring.one!r} "
+            f"for transitive closure"
+        )
+    rounds = min(max_iters, (max(len(nodes), 2) - 1).bit_length() + 1)
     src, dst = rel.schema
     base = AnnotatedRelation.empty(("A1", "A2"))
     base.tuples = dict(rel.tuples)
     previous = rel
     k = 2
-    for _ in range(max_iters):
+    for _ in range(rounds):
         h, alpha = _k_step_query(k, op)
         copies = {
             f"R{i}": base.rename({"A1": f"A{i}", "A2": f"A{i + 1}"})
@@ -357,4 +323,4 @@ def transitive_closure(
             return result
         previous = result
         k *= 2
-    raise QueryError(f"no transitive-closure fixpoint within {max_iters} doublings")
+    raise QueryError(f"no transitive-closure fixpoint within {rounds} doublings")

@@ -11,7 +11,6 @@ from ajar import (
     Ghd,
     Hypergraph,
     InternalError,
-    JoinTree,
     PRODUCT,
     QueryError,
     aggro_ghd_join,
@@ -19,11 +18,16 @@ from ajar import (
     execute_aghd,
     generic_join,
     get_semiring,
-    ghd_join,
     join,
-    yannakakis,
 )
-from ajar.ghd import aghd_from_stitched, characteristic_tree, optimal_ghd, stitch_tree
+from ajar.ghd import (
+    aghd_from_stitched,
+    characteristic_tree,
+    is_compatible,
+    is_ghd,
+    optimal_ghd,
+    stitch_tree,
+)
 from ajar.oracle import RandomInstanceSpec, naive_eval
 from ajar import execution, planner
 from ajar.execution import _bag_join_tree
@@ -32,7 +36,8 @@ from conftest import ordering
 
 
 def two_node_tree(r, s):
-    return JoinTree(root=0, parent={0: None, 1: 0}, relations={0: r, 1: s})
+    g = Ghd(root=0, parent={0: None, 1: 0}, chi={0: frozenset(r.schema), 1: frozenset(s.schema)})
+    return g, {0: r, 1: s}
 
 
 def parity_cycle_instance(n, m):
@@ -57,8 +62,8 @@ def slope(points):
 
 def materializing_join(h, g, alpha, relations, semiring, domains=None, stats=None):
     """The bag-materializing pipeline, whatever the plan."""
-    tree = _bag_join_tree(h, g, relations, semiring, stats)
-    return aggro_yannakakis(tree, alpha, semiring, domains, stats)
+    bags = _bag_join_tree(h, g, relations, semiring, stats)
+    return aggro_yannakakis(g, bags, alpha, semiring, domains, stats)
 
 
 class TestGenericJoin:
@@ -130,77 +135,73 @@ class TestGenericJoin:
 
 class TestYannakakis:
     def test_two_node_tree(self, fig1, int_sr):
-        out = yannakakis(two_node_tree(fig1["R"], fig1["S"]), int_sr)
+        g, bags = two_node_tree(fig1["R"], fig1["S"])
+        out = aggro_yannakakis(g, bags, ordering(), int_sr)
         assert out == AnnotatedRelation(("A", "B", "C"), {(1, 3, 3): 18, (1, 1, 1): 8})
 
     def test_single_node(self, fig1, int_sr):
-        tree = JoinTree(root=0, parent={0: None}, relations={0: fig1["R"]})
-        assert yannakakis(tree, int_sr) == fig1["R"]
+        g = Ghd.single(fig1["R"].schema)
+        assert aggro_yannakakis(g, {0: fig1["R"]}, ordering(), int_sr) == fig1["R"]
 
     def test_empty_node_empties_output(self, fig1, int_sr):
-        tree = two_node_tree(fig1["R"], AnnotatedRelation.empty(("B", "C")))
-        assert not yannakakis(tree, int_sr)
+        g, bags = two_node_tree(fig1["R"], AnnotatedRelation.empty(("B", "C")))
+        assert not aggro_yannakakis(g, bags, ordering(), int_sr)
 
     def test_join_tree_property_enforced(self, fig1, int_sr):
         # B appears at nodes 0 and 2 but not at their connector
-        bad = JoinTree(
+        bags = {
+            0: fig1["R"],
+            1: AnnotatedRelation(("A",), {(1,): 1}),
+            2: fig1["S"],
+        }
+        bad = Ghd(
             root=0,
             parent={0: None, 1: 0, 2: 1},
-            relations={
-                0: fig1["R"],
-                1: AnnotatedRelation(("A",), {(1,): 1}),
-                2: fig1["S"],
-            },
+            chi={t: frozenset(rel.schema) for t, rel in bags.items()},
         )
         with pytest.raises(QueryError):
-            yannakakis(bad, int_sr)
+            aggro_yannakakis(bad, bags, ordering(), int_sr)
 
     def test_semijoins_only_affect_counters(self, fig1, int_sr, monkeypatch):
-        tree = two_node_tree(fig1["R"], fig1["S"])
-        expected = yannakakis(tree, int_sr)
+        g, bags = two_node_tree(fig1["R"], fig1["S"])
+        expected = aggro_yannakakis(g, bags, ordering(), int_sr)
         monkeypatch.setattr(execution, "_semijoin_passes", lambda *a, **k: None)
-        assert yannakakis(tree, int_sr) == expected
+        assert aggro_yannakakis(g, bags, ordering(), int_sr) == expected
 
 
 class TestAggroYannakakis:
     def test_worked_total(self, fig1, int_sr):
-        tree = two_node_tree(fig1["R"], fig1["S"])
+        g, bags = two_node_tree(fig1["R"], fig1["S"])
         alpha = ordering(("C", "sum"), ("B", "sum"))
-        out = aggro_yannakakis(tree, alpha, int_sr)
+        out = aggro_yannakakis(g, bags, alpha, int_sr)
         assert out == AnnotatedRelation(("A",), {(1,): 26})
-
-    def test_empty_ordering_is_yannakakis(self, fig1, int_sr):
-        tree = two_node_tree(fig1["R"], fig1["S"])
-        assert aggro_yannakakis(tree, ordering(), int_sr) == yannakakis(tree, int_sr)
 
     def test_star_matches_naive(self, int_sr):
         h = Hypergraph.build([("E1", ("A", "B1")), ("E2", ("A", "B2"))])
         inst = RandomInstanceSpec(seed=5).instance(h)
-        tree = JoinTree(
-            root=0,
-            parent={0: None, 1: 0},
-            relations={0: inst["E1"], 1: inst["E2"]},
-        )
+        g, bags = two_node_tree(inst["E1"], inst["E2"])
         alpha = ordering(("B1", "sum"), ("B2", "sum"))
-        got = aggro_yannakakis(tree, alpha, int_sr)
+        got = aggro_yannakakis(g, bags, alpha, int_sr)
         assert got == naive_eval(h, alpha, inst, None, int_sr)
 
 
 class TestGhdJoin:
     def test_single_bag_equals_generic_join(self, fig1, int_sr, chain_h):
         g = Ghd.single(("A", "B", "C"))
-        assert ghd_join(chain_h, g, fig1, int_sr) == generic_join(chain_h, fig1, int_sr)
+        assert aggro_ghd_join(chain_h, g, ordering(), fig1, int_sr) == generic_join(
+            chain_h, fig1, int_sr
+        )
 
     def test_parity_cycle_empty_output(self, int_sr):
         h, rels = parity_cycle_instance(6, 3)
         bags = [("A1", "A2", "A3"), ("A1", "A3", "A4"), ("A1", "A4", "A5"), ("A1", "A5", "A6")]
-        out = ghd_join(h, Ghd.chain(bags), rels, int_sr)
+        out = aggro_ghd_join(h, Ghd.chain(bags), ordering(), rels, int_sr)
         assert not out
 
     def test_worked_rational_instance(self, fig2, chain_h):
         sr = get_semiring("qplus")
         g = Ghd.chain([("A", "B"), ("B", "C")])
-        out = ghd_join(chain_h, g, fig2, sr)
+        out = aggro_ghd_join(chain_h, g, ordering(), fig2, sr)
         assert out == join([fig2["R"], fig2["S"]], sr)
 
 
@@ -212,18 +213,29 @@ class TestAggroGhdJoin:
         out = aggro_ghd_join(chain_h, g, beta, fig1, int_sr)
         assert out == AnnotatedRelation(("A",), {(1,): 26})
 
-    def test_empty_ordering_equals_ghd_join(self, fig2, chain_h):
-        sr = get_semiring("qplus")
-        g = Ghd.chain([("A", "B"), ("B", "C")])
-        assert aggro_ghd_join(chain_h, g, ordering(), fig2, sr) == ghd_join(
-            chain_h, g, fig2, sr
-        )
-
     def test_incompatible_ghd_rejected(self, fig1, int_sr, chain_h):
         g = Ghd.chain([("B", "C"), ("A", "B")])  # C's top above A's, C aggregated
         alpha = ordering(("C", "sum"), ("B", "sum"))
         with pytest.raises(QueryError):
             aggro_ghd_join(chain_h, g, alpha, fig1, int_sr)
+
+    def test_non_ghd_rejected_on_both_paths(self, int_sr):
+        # B lies in bags 1 and 3 but not in bags 0 and 2 between them, so the
+        # tree is no GHD, though compatible with both orderings below
+        h = Hypergraph.build([("R", ("A", "B")), ("S", ("A", "D")), ("T", ("D", "B", "C"))])
+        g = Ghd(
+            root=0,
+            parent={0: None, 1: 0, 2: 0, 3: 2},
+            chi={0: frozenset("A"), 1: frozenset("AB"), 2: frozenset("AD"), 3: frozenset("DBC")},
+        )
+        inst = RandomInstanceSpec(seed=3).instance(h)
+        assert not is_ghd(h, g)
+        message_passing = ordering(("B", "sum"), ("D", "sum"), ("C", "sum"))  # output A at the root
+        materializing = ordering(("D", "sum"), ("C", "sum"))  # output B below the root
+        for beta in (message_passing, materializing):
+            assert is_compatible(g, beta)
+            with pytest.raises(QueryError):
+                aggro_ghd_join(h, g, beta, inst, int_sr)
 
     def test_random_compatible_ghds_match_naive(self, int_sr):
         rng = random.Random(41)
@@ -260,7 +272,7 @@ class TestAggroGhdJoin:
         r = AnnotatedRelation(("A", "B"), {(1, 1): 2, (1, 2): 2})
         s = AnnotatedRelation(("B", "C"), {(1, 1): 3, (2, 1): 3})
         g = Ghd.chain([("A", "B"), ("B", "C")])
-        out = ghd_join(chain_h, g, {"R": r, "S": s}, int_sr)
+        out = aggro_ghd_join(chain_h, g, ordering(), {"R": r, "S": s}, int_sr)
         for row, lam in out.tuples.items():
             for prime in (2, 3):
                 degree = 0

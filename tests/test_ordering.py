@@ -11,7 +11,6 @@ from ajar import (
     compute_prec,
     get_semiring,
     linear_extensions,
-    restrict_ordering,
 )
 from ajar.ordering import test_equivalence as is_equivalent
 from ajar.ordering import test_equivalence_product as is_equivalent_product
@@ -32,15 +31,15 @@ def two_path():
 class TestRestrict:
     def test_subsequence(self):
         alpha = ordering(("A", "sum"), ("B", "max"), ("C", "sum"))
-        assert restrict_ordering(alpha, {"A", "C"}).items == (("A", "sum"), ("C", "sum"))
+        assert alpha.restrict({"A", "C"}).items == (("A", "sum"), ("C", "sum"))
 
     def test_empty_set(self):
         alpha = ordering(("A", "sum"))
-        assert restrict_ordering(alpha, set()).items == ()
+        assert alpha.restrict(set()).items == ()
 
     def test_superset_is_identity(self):
         alpha = ordering(("A", "sum"), ("B", "max"))
-        assert restrict_ordering(alpha, {"A", "B", "Z"}) == alpha
+        assert alpha.restrict({"A", "B", "Z"}) == alpha
 
 
 class TestEquivalence:

@@ -18,11 +18,12 @@ from ajar import (
     run,
     transitive_closure,
 )
-from ajar.ghd import is_compatible, is_ghd
+from ajar.ghd import cost_edges_for, is_compatible, is_ghd, optimal_ghd
+from ajar.lp import fractional_cover_value
 from ajar.oracle import RandomInstanceSpec, floyd_warshall
 from ajar.ordering import test_equivalence as is_equivalent
 from ajar.ordering import test_equivalence_product as is_equivalent_product
-from ajar.planner import closure_chain_ghd, closure_doubling_ghd
+from ajar.planner import closure_chain_ghd
 from conftest import ordering
 
 
@@ -103,6 +104,36 @@ class TestPlan:
         p = plan(chain_h, ordering(), sizes={"R": 4, "S": 4096}, mode="data")
         assert p.width_report.mode == "data"
         assert p.width <= 2.0
+
+    @pytest.mark.parametrize("mode", ["unit", "data"])
+    def test_part_widths_are_each_parts_own_width(self, mode):
+        # part i's width is the max cover value over the bags of part i's own
+        # optimal GHD, priced against the query's relations
+        rng = random.Random(53)
+        for trial in range(40):
+            n = rng.randint(2, 6)
+            attrs = [f"X{i}" for i in range(n)]
+            edges = [
+                (f"E{j}", tuple(rng.sample(attrs, rng.randint(1, min(3, n)))))
+                for j in range(rng.randint(1, 5))
+            ]
+            h = Hypergraph.build(edges)
+            verts = sorted(h.vertices)
+            alpha = AggregationOrdering(
+                tuple((a, rng.choice(["sum", "max", "min"]))
+                      for a in rng.sample(verts, rng.randint(0, len(verts))))
+            )
+            sizes = {e.name: rng.randint(1, 1000) for e in h.edges} if mode == "data" else None
+            p = plan(h, alpha, sizes=sizes, mode=mode)
+            cost = cost_edges_for(h, sizes, mode)
+            assert len(p.part_widths) == len(p.part_hypergraphs)
+            for part_h, got in zip(p.part_hypergraphs, p.part_widths):
+                g = optimal_ghd(part_h, mode=mode, cost_edges=cost)
+                want = max(
+                    fractional_cover_value(bag, cost, exact=(mode == "unit"))
+                    for bag in g.chi.values()
+                )
+                assert got == want, (trial, alpha.items, edges)
 
 
 class TestRun:
@@ -223,10 +254,5 @@ class TestTransitiveClosure:
         chain = closure_chain_ghd(4)
         assert len(chain.chi) == 4
         assert all(len(bag) <= 3 for bag in chain.chi.values())
-        balanced = closure_doubling_ghd(8)
-        assert all(len(bag) == 3 for bag in balanced.chi.values())
-        depth = max(balanced.depths().values())
-        assert depth == 2  # log2(8) - 1 levels below the root
         h = Hypergraph.build([(f"R{i}", (f"A{i}", f"A{i+1}")) for i in range(1, 9)])
-        assert is_ghd(h, balanced)
         assert is_ghd(h, closure_chain_ghd(8))

@@ -221,6 +221,32 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert "1,3,3" in lines
 
+    def test_closure_dag_without_self_loops_exit_code(self, tmp_path, capsys):
+        # 2^k-step walks die out on a DAG; without self-loops the result was empty
+        csv = tmp_path / "edges.csv"
+        csv.write_text("S,D,__annotation\n0,1,3\n1,2,4\n")
+        code = main(["closure", str(csv), "--semiring", "minplus"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "node 0 needs a self-loop" in captured.err
+        assert not captured.out
+
+    def test_closure_cycle_without_self_loops_exit_code(self, tmp_path, capsys):
+        # 2^k-step walks alternate forever on a 2-cycle; this used to hang
+        csv = tmp_path / "edges.csv"
+        csv.write_text("S,D,__annotation\n0,1,1\n1,0,1\n")
+        code = main(["closure", str(csv), "--semiring", "minplus"])
+        assert code == 1
+        assert "node 0 needs a self-loop" in capsys.readouterr().err
+
+    def test_closure_negative_cycle_exit_code(self, tmp_path, capsys):
+        # zero self-loops but no fixpoint: stops after ceil(log2 V) + 1 rounds
+        csv = tmp_path / "edges.csv"
+        csv.write_text("S,D,__annotation\n0,0,0\n1,1,0\n0,1,-1\n1,0,-1\n")
+        code = main(["closure", str(csv), "--semiring", "minplus"])
+        assert code == 1
+        assert "no transitive-closure fixpoint within 2 doublings" in capsys.readouterr().err
+
     def test_query_error_exit_code(self, tmp_path, capsys):
         (tmp_path / "q.aj").write_text("Q(A) = sum[B] R(A,B)\n")
         code = main(["run", str(tmp_path / "q.aj"), "--data", str(tmp_path)])
