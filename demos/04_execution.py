@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-# Execution: each bag runs a worst-case-optimal join over its relations and
-# its children's messages, aggregating its TOP attributes inside the join, and
-# passes the result up as its own message. A plan with an output attribute
-# below the root instead materializes every bag and runs an aggregating
-# Yannakakis pass (the parity cycle below is one). Each relation's
-# annotations enter at exactly one bag; everywhere else it only filters.
+# Execution: one post-order pass. Each bag runs a worst-case-optimal join
+# over its relations and its children's messages, aggregating its TOP
+# attributes inside the join, and passes the result up as its own message.
+# Only the output region (the root and the bags below it that lead to an
+# output attribute) keeps its output values and goes through a Yannakakis
+# pass of semijoins and joins; in the full join of the parity cycle below
+# that is every bag, built whole. Each relation's annotations enter at
+# exactly one bag; everywhere else it only filters.
 
 import math
 

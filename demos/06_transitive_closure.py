@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
-# Transitive closure by doubling: evaluate the 2^n-step reachability query
-# as an aggregate-join over renamed copies until the result stabilizes.
-# Every node needs a zero-weight self-loop (min-plus's one), so 2^n steps
-# cover all shorter walks; then this is all-pairs shortest paths, reached
-# within ceil(log2 V) + 1 rounds unless a negative cycle prevents a fixpoint.
-# A missing self-loop, or no fixpoint within that budget, is a QueryError.
+# Transitive closure by repeated squaring: plan the two-atom query
+# Q(X,Y) = min[M] L(X,M), L(M,Y) once and run it on each round's result
+# until the result stabilizes. Every node needs a zero-weight self-loop
+# (min-plus's one), so round n covers every walk of at most 2^n steps; then
+# this is all-pairs shortest paths, reached within ceil(log2 V) + 1 rounds.
+# A missing self-loop, a negative diagonal entry (a negative cycle through
+# that node), or no fixpoint within that budget is a QueryError.
 
-from ajar import AnnotatedRelation, INF, get_semiring, transitive_closure
+from ajar import (
+    AggregationOrdering,
+    AnnotatedRelation,
+    Hypergraph,
+    INF,
+    QueryError,
+    get_semiring,
+    plan,
+    transitive_closure,
+)
 from ajar.oracle import floyd_warshall
-from ajar.planner import closure_chain_ghd
 
 mp = get_semiring("minplus")
 
@@ -30,9 +39,19 @@ for (u, v), d in sorted(closed.tuples.items()):
 
 print("\nagrees with Floyd-Warshall:", dict(closed.tuples) == floyd_warshall(graph))
 
-# the k-step query runs over a chain of 3-attribute bags; each bag holds
-# two consecutive path positions plus the final endpoint
-g = closure_chain_ghd(4)
-print("\nchain GHD bags for the 4-step query:")
-for t in g.nodes():
-    print("  ", sorted(g.chi[t]))
+# each round runs one ordinary plan: the output pair at the root, the
+# middle node folded inside the join of the bag below it
+p = plan(
+    Hypergraph.build([("L1", ("X", "M")), ("L2", ("M", "Y"))]),
+    AggregationOrdering.of(("M", "min")),
+)
+print("\nsquaring plan bags (node: bag, parent):")
+for t in p.ghd.nodes():
+    print(f"   {t}: {sorted(p.ghd.chi[t])}, parent {p.ghd.parent[t]}")
+
+# a negative cycle makes a diagonal entry drop below zero
+rows[(1, 0)] = -5
+try:
+    transitive_closure(AnnotatedRelation(("src", "dst"), rows, zero=INF), mp)
+except QueryError as exc:
+    print("\nwith edge 1 -> 0 at -5:", exc)

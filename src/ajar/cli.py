@@ -18,7 +18,7 @@ from .dataio import (
 )
 from .errors import AjarError, InternalError, QueryError
 from .execution import ExecStats
-from .oracle import RandomInstanceSpec, naive_eval
+from .oracle import RandomInstanceSpec, floyd_warshall, naive_eval
 from .ordering import explain_equivalence
 from .planner import plan as build_plan
 from .planner import run as run_plan
@@ -128,17 +128,34 @@ def cmd_selftest(args) -> int:
             print(f"laws[{spec.name}]: FAIL {exc}")
     from .hypergraph import Hypergraph
     from .ordering import AggregationOrdering
+    from .relations import AnnotatedRelation
 
-    h = Hypergraph.build([("R", ("A", "B")), ("S", ("B", "C"))])
-    alpha = AggregationOrdering.of(("B", "sum"), ("C", "sum"))
+    queries = [
+        # the output lies in the root bag: messages only
+        (Hypergraph.build([("R", ("A", "B")), ("S", ("B", "C"))]),
+         AggregationOrdering.of(("B", "sum"), ("C", "sum"))),
+        # outputs A1-A3 reach below the root: a two-bag output region
+        (Hypergraph.build([(f"E{i}", (f"A{i}", f"A{i + 1}")) for i in range(1, 6)]),
+         AggregationOrdering.of(("A4", "sum"), ("A5", "sum"), ("A6", "sum"))),
+    ]
+    semiring = get_semiring("int")
+    minplus = get_semiring("minplus")
+    edge = Hypergraph.build([("E", ("S", "D"))])
     for trial in range(args.trials // 100 + 5):
-        inst = RandomInstanceSpec(semiring_name="int", seed=args.seed + trial).instance(h)
-        domains = DomainRegistry.from_declarations({}, inst)
-        semiring = get_semiring("int")
-        query_plan = build_plan(h, alpha)
-        got = run_plan(query_plan, inst, domains, semiring)
-        want = naive_eval(h, alpha, inst, domains, semiring)
-        if got != want:
+        seed = args.seed + trial
+        sound = True
+        for h, alpha in queries:
+            inst = RandomInstanceSpec(semiring_name="int", seed=seed).instance(h)
+            domains = DomainRegistry.from_declarations({}, inst)
+            got = run_plan(build_plan(h, alpha), inst, domains, semiring)
+            sound &= got == naive_eval(h, alpha, inst, domains, semiring)
+        # min-plus closure of a sparse graph, unreachable pairs included
+        spec = RandomInstanceSpec(semiring_name="minplus", domain_size=6, density=0.2, seed=seed)
+        rows = dict(spec.instance(edge)["E"].tuples)
+        rows.update(((v, v), 0) for v in range(spec.domain_size))
+        graph = AnnotatedRelation(("S", "D"), rows)
+        sound &= dict(transitive_closure(graph, minplus).tuples) == floyd_warshall(graph)
+        if not sound:
             failures += 1
             print(f"oracle[{trial}]: FAIL")
             break

@@ -1,25 +1,29 @@
 """Query execution: worst-case-optimal joins that fold inside their
-recursion, run over one ``Ghd`` by either of two paths.
+recursion, run in one post-order pass over a ``Ghd``.
 
 ``aggro_ghd_join`` first checks that the tree is a GHD of the query (edge
-cover and running intersection) compatible with the ordering.  When every
-output attribute lies in the root bag it runs one post-order pass of
-messages: each bag joins its atoms and its children's messages in
-``generic_join``, aggregating its TOP attributes as the recursion returns,
-and passes the result up (InsideOut-style variable elimination).  A plan with
-an output attribute below the root instead materializes every bag, keyed by
-the same node ids, and runs the semijoin passes of ``aggro_yannakakis`` over
-the same tree.  A full join is ``aggro_ghd_join`` with the empty ordering.
+cover and running intersection) compatible with the ordering.  Its *output
+region* is the root plus every bag whose subtree holds the TOP node of an
+output attribute.  Each bag joins its atoms and the messages of its children
+outside the region in ``generic_join``, aggregating its TOP attributes as
+the recursion returns.  A bag outside the region passes the result to its
+parent as one more atom (InsideOut-style variable elimination).  The
+region's results, over output attributes only, then go through the semijoin
+passes and bottom-up joins of ``aggro_yannakakis`` (free-connex
+evaluation).  When the region is the root alone, no semijoin runs; when
+every bag holds an output, every bag is built whole.  A full join is
+``aggro_ghd_join`` with the empty ordering.
 
 Annotations are multiplied exactly once per output tuple: a relation enters
 with its true annotations only at the topmost bag containing all of its
 attributes; every other bag sees a projection with annotations replaced by
-the semiring one, which only filters.
+the semiring one, which only filters.  With an ``ExecStats``, every
+multiplication is counted, including those inside ``join`` and the folds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from .errors import InternalError, QueryError
@@ -54,9 +58,6 @@ class ExecStats:
         self.bag_output_tuples[label] = self.bag_output_tuples.get(label, 0) + outputs
         self.intermediate_tuples += outputs
 
-    def record_join(self, produced: int) -> None:
-        self.intermediate_tuples += produced
-
     def to_dict(self) -> dict:
         return {
             "bag_input_tuples": dict(self.bag_input_tuples),
@@ -67,16 +68,17 @@ class ExecStats:
         }
 
 
-def _counted_multiply(semiring: SemiringSpec, stats: Optional[ExecStats]):
+def counted_semiring(semiring: SemiringSpec, stats: Optional[ExecStats]) -> SemiringSpec:
+    """The semiring, its multiplications counted in stats when given."""
     if stats is None:
-        return semiring.multiply
+        return semiring
     base = semiring.multiply
 
     def mul(a, b):
         stats.multiplications += 1
         return base(a, b)
 
-    return mul
+    return replace(semiring, multiply=mul)
 
 
 def generic_join(
@@ -124,7 +126,7 @@ def generic_join(
                 f"relation {e.name!r} has schema {rel.schema}, edge wants {sorted(e.attrs)}"
             )
         rels.append(rel)
-    mul = _counted_multiply(semiring, stats)
+    mul = counted_semiring(semiring, stats).multiply
 
     if not rels:
         return AnnotatedRelation((), {(): semiring.one})
@@ -222,23 +224,14 @@ def generic_join(
 
 
 def _semijoin_passes(g: Ghd, work: dict[int, AnnotatedRelation], stats) -> None:
-    order = g.preorder()
-    for t in reversed(order):
-        p = g.parent[t]
-        if p is None:
-            continue
-        before = len(work[p])
-        work[p] = semijoin(work[p], work[t])
+    """Reduce each parent by its children bottom-up, then each child by its
+    parent top-down: a full reducer over the join tree."""
+    up = [(g.parent[t], t) for t in reversed(g.preorder()) if g.parent[t] is not None]
+    for target, source in up + [(t, p) for p, t in reversed(up)]:
+        before = len(work[target])
+        work[target] = semijoin(work[target], work[source])
         if stats:
-            stats.semijoin_removed += before - len(work[p])
-    for t in order:
-        p = g.parent[t]
-        if p is None:
-            continue
-        before = len(work[t])
-        work[t] = semijoin(work[t], work[p])
-        if stats:
-            stats.semijoin_removed += before - len(work[t])
+            stats.semijoin_removed += before - len(work[target])
 
 
 def _fold_ordering(
@@ -271,17 +264,18 @@ def aggro_yannakakis(
     if not is_ghd(Hypergraph(frozenset(), ()), g):  # running intersection only
         raise QueryError("bags violate the running-intersection property")
     tops = top_map(g)
+    counted = counted_semiring(semiring, stats)
     work = dict(bags)
     _semijoin_passes(g, work, stats)
     for t in reversed(g.preorder()):
         mine = {a for a, node in tops.items() if node == t}
-        folded = _fold_ordering(work[t], alpha.restrict(mine), semiring, domains)
+        folded = _fold_ordering(work[t], alpha.restrict(mine), counted, domains)
         p = g.parent[t]
         if p is None:
             return folded
-        work[p] = join([work[p], folded], semiring)
+        work[p] = join([work[p], folded], counted)
         if stats:
-            stats.record_join(len(work[p]))
+            stats.intermediate_tuples += len(work[p])
 
 
 def _annotation_homes(h: Hypergraph, g: Ghd) -> dict[str, int]:
@@ -338,26 +332,6 @@ def _bag_hypergraph(bag: frozenset[str], edges) -> Hypergraph:
     return bag_h
 
 
-def _bag_join_tree(
-    h: Hypergraph,
-    g: Ghd,
-    relations: Mapping[str, AnnotatedRelation],
-    semiring: SemiringSpec,
-    stats: Optional[ExecStats],
-) -> dict[int, AnnotatedRelation]:
-    """Run the within-bag joins, placing true annotations exactly once; the
-    bag relations are keyed by g's node ids."""
-    home = _annotation_homes(h, g)
-    bags: dict[int, AnnotatedRelation] = {}
-    for t, bag in g.chi.items():
-        edges, local = _bag_atoms(h, g, t, home, relations, semiring.one)
-        joined = generic_join(_bag_hypergraph(bag, edges), local, semiring, stats)
-        if stats:
-            stats.record_bag(f"bag{t}", sum(map(len, local.values())), len(joined))
-        bags[t] = joined
-    return bags
-
-
 def aggro_ghd_join(
     h: Hypergraph,
     g: Ghd,
@@ -369,42 +343,44 @@ def aggro_ghd_join(
 ) -> AnnotatedRelation:
     """Aggregating GHD join; requires a GHD of h compatible with the ordering.
 
-    When every output attribute lies in the root bag, this is one post-order
-    pass of messages.  Bag t joins its atoms (``_bag_atoms``) and its
-    children's messages in ``generic_join``, folding its TOP attributes, in
-    the ordering's order, inside the join's recursion; the result, over the
-    attributes t shares with its parent, is t's message.  No bag is built
-    and no semijoin runs: each message already holds only what its subtree
-    can join with.  An arity-0 message is a scalar that multiplies its
-    parent's message once.
+    One post-order pass.  Bag t joins its atoms (``_bag_atoms``) and the
+    messages of its children outside the output region in ``generic_join``,
+    folding t's TOP attributes, in the ordering's order, inside the join's
+    recursion.  Outside the region the result, over the attributes t shares
+    with its parent, is t's message; it already holds only what its subtree
+    can join with, so it needs no semijoin.  An arity-0 message is a scalar
+    that multiplies its parent's result once.
 
-    When some output attribute lies below the root, its values travel up
-    unaggregated and the messages would be as large as the bags, with no full
-    reducer to bound them.  Such plans materialize every bag instead
-    (``_bag_join_tree``) and run ``aggro_yannakakis``, whose semijoin passes
-    keep the join output-sensitive.  Which path runs is a property of the
-    plan alone.  With the empty ordering both compute the full join.
+    Compatibility puts no aggregated attribute's TOP node above an output's,
+    so a bag with a child in the region tops only outputs, and every region
+    bag's result holds outputs only.  Their values have no full reducer
+    below them, so ``aggro_yannakakis`` semijoin-reduces these results and
+    joins them bottom-up; the ordering has nothing left to fold.
     """
     if not is_ghd(h, g):
         raise QueryError("bags do not form a GHD of the query")
     if not is_compatible(g, alpha):
         raise QueryError("GHD is not compatible with the aggregation ordering")
     outputs = h.vertices - alpha.attrs()
-    if not outputs <= g.chi[g.root]:
-        bags = _bag_join_tree(h, g, relations, semiring, stats)
-        return aggro_yannakakis(g, bags, alpha, semiring, domains, stats)
-
     home = _annotation_homes(h, g)
     tops = top_map(g)
     kids = g.children_map()
-    mul = _counted_multiply(semiring, stats)
-    messages: dict[int, AnnotatedRelation] = {}
+    region = {g.root}
+    for attr in outputs:
+        t = tops[attr]
+        while t not in region:
+            region.add(t)
+            t = g.parent[t]
+    mul = counted_semiring(semiring, stats).multiply
+    built: dict[int, AnnotatedRelation] = {}  # messages, and the region's bags
     for t in reversed(g.preorder()):
         bag = g.chi[t]
         edges, local = _bag_atoms(h, g, t, home, relations, semiring.one)
         scalar = None
         for c in kids[t]:
-            message = messages.pop(c)
+            if c in region:
+                continue
+            message = built.pop(c)
             if message.schema:
                 name = f"<bag{c}>"
                 local[name] = message
@@ -415,16 +391,19 @@ def aggro_ghd_join(
                 lam = message.tuples[()]
                 scalar = lam if scalar is None else mul(scalar, lam)
         fold = alpha.restrict(a for a in bag if tops[a] == t)
-        message = generic_join(
-            _bag_hypergraph(bag, edges), local, semiring, stats, fold, domains
-        )
+        out = generic_join(_bag_hypergraph(bag, edges), local, semiring, stats, fold, domains)
         if scalar is not None:
-            scaled = ((row, mul(scalar, lam)) for row, lam in message.tuples.items())
-            message.tuples = {row: lam for row, lam in scaled if lam != semiring.zero}
+            scaled = ((row, mul(scalar, lam)) for row, lam in out.tuples.items())
+            out.tuples = {row: lam for row, lam in scaled if lam != semiring.zero}
         if stats:
-            stats.record_bag(f"bag{t}", sum(map(len, local.values())), len(message))
-        messages[t] = message
-    return messages[g.root]
+            stats.record_bag(f"bag{t}", sum(map(len, local.values())), len(out))
+        built[t] = out
+    region_tree = Ghd(
+        root=g.root,
+        parent={t: g.parent[t] for t in region},
+        chi={t: frozenset(built[t].schema) for t in region},
+    )
+    return aggro_yannakakis(region_tree, built, alpha, semiring, domains, stats)
 
 
 def execute_aghd(
@@ -460,15 +439,12 @@ def execute_aghd(
             expanded.append((attr, op))
     alpha_p = AggregationOrdering(tuple(expanded))
 
-    copy_domains = domains.with_copies(
-        {copy: orig for copy, orig in aghd.original.items()}
-    )
     return aggro_ghd_join(
         aghd.hypergraph_p,
         aghd.tree,
         alpha_p,
         renamed_relations,
         semiring,
-        copy_domains,
+        domains.with_copies(aghd.original),
         stats,
     )

@@ -652,15 +652,9 @@ def _merge_redundant(g: Ghd) -> Ghd:
             p = parent[t]
             if p is None:
                 continue
-            if chi[t] <= chi[p]:
-                for c in kids[t]:
-                    parent[c] = p
-                del parent[t], chi[t]
-                changed = True
-                break
-            if chi[p] < chi[t]:
-                # pull the child's bag up instead of keeping both
-                chi[p] = chi[t]
+            if chi[t] <= chi[p] or chi[p] < chi[t]:
+                # keep the larger bag at the parent, the child's children below it
+                chi[p] |= chi[t]
                 for c in kids[t]:
                     parent[c] = p
                 del parent[t], chi[t]

@@ -12,14 +12,9 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
 from .errors import QueryError
-from .ghd import Ghd, is_ghd, is_valid, top_map
+from .ghd import Ghd
 from .hypergraph import Hypergraph
-from .ordering import (
-    AggregationOrdering,
-    Violation,
-    compute_prec,
-    explain_equivalence,
-)
+from .ordering import AggregationOrdering, compute_prec, explain_equivalence
 from .relations import (
     AnnotatedRelation,
     DomainRegistry,

@@ -259,22 +259,15 @@ def compute_prec(h: Hypergraph, alpha: AggregationOrdering) -> PrecedenceRelatio
             for b in attrs:
                 if a == b or frozenset((a, b)) in dnc:
                     continue
-                if op_of[a] != op_of[b]:
-                    # extension: PREC(a, c) with b, c sharing an edge
-                    if any(
-                        frozenset((b, c)) in share_edge
-                        for c in successors[a]
-                        if c != b
-                    ):
-                        fresh.append((a, b))
-                        continue
-                    if any(
-                        frozenset((a, c)) in share_edge
-                        for c in successors[b]
-                        if c != a
-                    ):
-                        fresh.append((a, b))
-                        continue
+                # extension: PREC(x, c) with y, c sharing an edge, {x, y} = {a, b}
+                if op_of[a] != op_of[b] and any(
+                    frozenset((y, c)) in share_edge
+                    for x, y in ((a, b), (b, a))
+                    for c in successors[x]
+                    if c != y
+                ):
+                    fresh.append((a, b))
+                    continue
                 # transitivity through any c
                 if any(b in successors[c] for c in successors[a]) or any(
                     a in successors[c] for c in successors[b]

@@ -1,14 +1,14 @@
 """End-to-end planning: characteristic hypergraphs to a minimum-width valid
-plan, execution dispatch, and the transitive-closure extension."""
+plan, its execution, and transitive closure as a planned query run once per
+round."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from .errors import InternalError, QueryError
-from .execution import ExecStats, aggro_ghd_join, execute_aghd
+from .execution import ExecStats, aggro_ghd_join, counted_semiring, execute_aghd
 from .ghd import (
     Aghd,
     Ghd,
@@ -172,6 +172,7 @@ def plan(
         for part in parts
     ]
     decomposition: Ghd | Aghd = stitch_tree(tree, part_ghds)
+    decomposition = _drop_empty_root(decomposition, products)
     if products:
         decomposition = aghd_from_stitched(h, alpha, decomposition)
     beta = _compatible_ordering(decomposition, alpha)
@@ -190,11 +191,35 @@ def plan(
     return Plan(h, alpha, decomposition, beta, report, [p.hypergraph for p in parts], part_widths, prepass)
 
 
+def _drop_empty_root(g: Ghd, products: bool) -> Ghd:
+    """A query without output attributes stitches its parts under an empty
+    root bag, which would only join nothing and multiply by one.  Its first
+    child becomes the root; the other children share no attribute with it
+    and hang below it.  Product parts can share a product attribute, and
+    hanging one below another would order the TOP nodes of its copies
+    against each other, so with products only a lone child replaces the
+    root."""
+    kids = g.children_map()[g.root]
+    if g.chi[g.root] or not kids or (products and len(kids) > 1):
+        return g
+    root, *others = kids
+    parent = {t: p for t, p in g.parent.items() if t != g.root}
+    parent[root] = None
+    parent.update((c, root) for c in others)
+    return Ghd(root, parent, {t: bag for t, bag in g.chi.items() if t != g.root})
+
+
 def _regroup_part_widths(part_ghds: list[Ghd], report: WidthReport) -> list[Any]:
-    """Per-part widths read off the stitched report, whose bags come part by
-    part in part order, so no bag's cover LP is solved twice."""
-    values = iter(report.per_bag.values())
-    return [max(itertools.islice(values, len(g.chi))) for g in part_ghds]
+    """Per-part widths read off the stitched report, so no bag's cover LP is
+    solved twice.  Stitching numbers the bags part by part in part order; a
+    dropped empty root leaves its part with no bag, and width zero."""
+    widths, start = [], 0
+    for g in part_ghds:
+        end = start + len(g.chi)
+        own = {t: w for t, w in report.per_bag.items() if start <= t < end}
+        widths.append(WidthReport.collect(report.mode, own).width)
+        start = end
+    return widths
 
 
 def run(
@@ -205,13 +230,14 @@ def run(
     stats: Optional[ExecStats] = None,
 ) -> AnnotatedRelation:
     """Execute a plan; result equals the naive evaluation."""
+    counted = counted_semiring(semiring, stats)
     working = dict(relations)
     scalars: list[AnnotatedRelation] = []
     for edge_name, attr in query_plan.prepass:
         if domains is None:
             raise QueryError("product aggregation needs attribute domains")
         working[edge_name] = product_aggregate(
-            working[edge_name], attr, domains, semiring
+            working[edge_name], attr, domains, counted
         )
     for e in query_plan.hypergraph.edges:
         rel = working[e.name]
@@ -251,25 +277,15 @@ def run(
             stats,
         )
     for scalar in scalars:
-        result = join([result, scalar], semiring)
+        result = join([result, scalar], counted)
     return result
 
 
-def closure_chain_ghd(k: int) -> Ghd:
-    """Chain GHD for the k-step reachability query: bag i holds
-    A_i, A_(i+1), A_(k+1)."""
-    last = f"A{k + 1}"
-    bags = [(f"A{i}", f"A{i + 1}", last) for i in range(1, k + 1)]
-    return Ghd.chain([frozenset(b) for b in bags])
-
-
-def _k_step_query(
-    k: int, op: str
-) -> tuple[Hypergraph, AggregationOrdering]:
-    edges = [(f"R{i}", (f"A{i}", f"A{i + 1}")) for i in range(1, k + 1)]
-    h = Hypergraph.build(edges)
-    alpha = AggregationOrdering(tuple((f"A{i}", op) for i in range(2, k + 1)))
-    return h, alpha
+def _off_diagonal(rel: AnnotatedRelation, nodes: set, one) -> Any:
+    """The node an error names: the least (ints before strings) whose
+    diagonal entry in rel is not one, or None."""
+    bad = [v for v in nodes if rel.tuples.get((v, v)) != one]
+    return min(bad, key=lambda v: (isinstance(v, str), v)) if bad else None
 
 
 def transitive_closure(
@@ -279,12 +295,15 @@ def transitive_closure(
     op: Optional[str] = None,
     stats: Optional[ExecStats] = None,
 ) -> AnnotatedRelation:
-    """Doubling fixpoint: evaluate the 2^n-step query until it stabilizes.
+    """Closure by repeated squaring: plan Q(X,Y) = op[M] L(X,M), L(M,Y) once
+    and run it on each round's result, starting from rel.
 
-    Every node needs a self-loop annotated with the semiring's one, so that
-    2^n steps cover every shorter walk; a node without one is a QueryError.
-    A fixpoint also needs no improving cycle (for min-plus: no negative
-    cycle).  Walks of at most |V| - 1 steps are then all covered after
+    Every node needs a self-loop annotated with the semiring's one, so rel
+    already holds the identity and round n covers every walk of at most 2^n
+    steps; a node without one is a QueryError.  A diagonal entry other than
+    one is an improving cycle through that node (for min-plus: a negative
+    cycle), so no fixpoint exists and that is a QueryError naming the node.
+    Otherwise walks of at most |V| - 1 steps are all covered after
     ceil(log2 |V|) rounds and confirmed by one more, so the rounds stop at
     that budget (or max_iters, if smaller) with a QueryError.
     """
@@ -295,32 +314,28 @@ def transitive_closure(
             raise QueryError("specify which additive operator to close over")
         (op,) = semiring.additive_ops
     nodes = {v for row in rel.tuples for v in row}
-    loopless = [v for v in nodes if rel.tuples.get((v, v)) != semiring.one]
-    if loopless:
-        first = min(loopless, key=lambda v: (isinstance(v, str), v))
+    v = _off_diagonal(rel, nodes, semiring.one)
+    if v is not None:
         raise QueryError(
-            f"node {first!r} needs a self-loop annotated {semiring.one!r} "
-            f"for transitive closure"
+            f"node {v!r} needs a self-loop annotated {semiring.one!r} for transitive closure"
         )
     rounds = min(max_iters, (max(len(nodes), 2) - 1).bit_length() + 1)
+    square = plan(
+        Hypergraph.build([("L1", ("X", "M")), ("L2", ("M", "Y"))]),
+        AggregationOrdering.of(("M", op)),
+    )
     src, dst = rel.schema
-    base = AnnotatedRelation.empty(("A1", "A2"))
-    base.tuples = dict(rel.tuples)
-    previous = rel
-    k = 2
+    current = rel.rename({src: "X", dst: "Y"})
     for _ in range(rounds):
-        h, alpha = _k_step_query(k, op)
-        copies = {
-            f"R{i}": base.rename({"A1": f"A{i}", "A2": f"A{i + 1}"})
-            for i in range(1, k + 1)
-        }
-        ghd = closure_chain_ghd(k)
-        raw = aggro_ghd_join(h, ghd, alpha, copies, semiring, None, stats)
-        raw = raw.reorder(("A1", f"A{k + 1}"))
-        result = AnnotatedRelation.empty((src, dst))
-        result.tuples = dict(raw.tuples)
-        if result == previous:
-            return result
-        previous = result
-        k *= 2
+        halves = {"L1": current.rename({"Y": "M"}), "L2": current.rename({"X": "M"})}
+        squared = run(square, halves, None, semiring, stats)
+        v = _off_diagonal(squared, nodes, semiring.one)
+        if v is not None:
+            raise QueryError(
+                f"no transitive-closure fixpoint within {rounds} doublings: "
+                f"node {v!r} lies on an improving cycle"
+            )
+        if squared == current:
+            return squared.reorder(("X", "Y")).rename({"X": src, "Y": dst})
+        current = squared
     raise QueryError(f"no transitive-closure fixpoint within {rounds} doublings")

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ParseError, QueryError
+from .errors import ParseError
 from .hypergraph import Hypergraph
 from .ordering import AggregationOrdering
-from .semirings import PRODUCT, get_semiring
+from .semirings import get_semiring
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_BODY = _NAME_START | set("0123456789")
@@ -104,22 +104,22 @@ def parse_query(text: str) -> ParsedQuery:
     cursor = _Cursor(_tokenize(text))
     head_name = cursor.take("name").text
     cursor.take("punct", "(")
-    head_attrs: list[str] = []
+    head: list[Token] = []
     if cursor.peek().text != ")":
-        head_attrs.append(cursor.take("name").text)
+        head.append(cursor.take("name"))
         while cursor.peek().text == ",":
             cursor.take("punct", ",")
-            head_attrs.append(cursor.take("name").text)
-    cursor.take("punct", ")")
+            head.append(cursor.take("name"))
+    head_end = cursor.take("punct", ")")
     cursor.take("punct", "=")
 
-    items: list[tuple[str, str]] = []
+    aggs: list[tuple[Token, Token]] = []  # (operator, attribute)
     while cursor.peek().kind == "name" and _next_is_agg(cursor):
-        op = cursor.take("name").text
+        op = cursor.take("name")
         cursor.take("punct", "[")
-        attr = cursor.take("name").text
+        attr = cursor.take("name")
         cursor.take("punct", "]")
-        items.append((attr, op))
+        aggs.append((op, attr))
 
     atoms: list[Atom] = []
     counts: dict[str, int] = {}
@@ -132,9 +132,7 @@ def parse_query(text: str) -> ParsedQuery:
             attrs.append(cursor.take("name").text)
         closing = cursor.take("punct", ")")
         if len(set(attrs)) != len(attrs):
-            raise ParseError(
-                f"atom {tok.text!r} repeats an attribute", closing.line, closing.column
-            )
+            _fail(f"atom {tok.text!r} repeats an attribute", closing)
         counts[tok.text] = counts.get(tok.text, 0) + 1
         atoms.append(Atom(relation=tok.text, edge_name="", attrs=tuple(attrs)))
         if cursor.peek().text == ",":
@@ -148,7 +146,7 @@ def parse_query(text: str) -> ParsedQuery:
         cursor.take("name", "semiring")
         cursor.take("punct", "=")
         semiring_name = cursor.take("name").text
-    end = cursor.take("end")
+    cursor.take("end")
 
     # tag repeated relation atoms with an ordinal
     seen: dict[str, int] = {}
@@ -161,39 +159,44 @@ def parse_query(text: str) -> ParsedQuery:
         else:
             name = atom.relation
         tagged.append(Atom(atom.relation, name, atom.attrs))
+    # every atom has an attribute and tagged names are distinct, so this holds
+    h = Hypergraph.build([(a.edge_name, a.attrs) for a in tagged])
 
-    try:
-        h = Hypergraph.build([(a.edge_name, a.attrs) for a in tagged])
-        ordering = AggregationOrdering(tuple(items))
-    except QueryError as exc:
-        raise ParseError(str(exc), end.line, end.column) from None
-
-    body_attrs = h.vertices
-    for attr, _ in items:
-        if attr not in body_attrs:
-            raise ParseError(f"aggregated attribute {attr!r} not in the body", end.line, end.column)
-    if set(head_attrs) & ordering.attrs():
-        raise ParseError("head attributes may not be aggregated", end.line, end.column)
-    expected = body_attrs - ordering.attrs()
-    if set(head_attrs) != expected or len(set(head_attrs)) != len(head_attrs):
-        raise ParseError(
-            f"head attributes must be exactly {sorted(expected)}", end.line, end.column
-        )
+    # semantic errors point at the offending token
+    aggregated: set[str] = set()
+    for _, attr in aggs:
+        if attr.text in aggregated:
+            _fail(f"attribute {attr.text!r} aggregated twice", attr)
+        if attr.text not in h.vertices:
+            _fail(f"aggregated attribute {attr.text!r} not in the body", attr)
+        aggregated.add(attr.text)
+    expected = h.vertices - aggregated
+    listed: set[str] = set()
+    for tok in head:
+        if tok.text in aggregated:
+            _fail("head attributes may not be aggregated", tok)
+        if tok.text in listed or tok.text not in expected:
+            _fail(f"head attributes must be exactly {sorted(expected)}", tok)
+        listed.add(tok.text)
+    if listed != expected:
+        _fail(f"head attributes must be exactly {sorted(expected)}", head_end)
     if semiring_name is not None:
         semiring = get_semiring(semiring_name)
-        for attr, op in items:
-            if not semiring.knows_op(op):
-                raise ParseError(
-                    f"operator {op!r} unknown to semiring {semiring_name!r}", end.line, end.column
-                )
+        for op, _ in aggs:
+            if not semiring.knows_op(op.text):
+                _fail(f"operator {op.text!r} unknown to semiring {semiring_name!r}", op)
     return ParsedQuery(
         head_name=head_name,
-        head_attrs=tuple(head_attrs),
-        ordering=ordering,
+        head_attrs=tuple(tok.text for tok in head),
+        ordering=AggregationOrdering(tuple((attr.text, op.text) for op, attr in aggs)),
         atoms=tuple(tagged),
         hypergraph=h,
         semiring_name=semiring_name,
     )
+
+
+def _fail(message: str, tok: Token) -> None:
+    raise ParseError(message, tok.line, tok.column)
 
 
 def _next_is_agg(cursor: _Cursor) -> bool:

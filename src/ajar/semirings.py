@@ -8,7 +8,7 @@ exact (ints, Fractions, or an explicit infinity sentinel), never floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Mapping
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -30,7 +31,6 @@ from ajar.ghd import (
 )
 from ajar.oracle import RandomInstanceSpec, naive_eval
 from ajar import execution, planner
-from ajar.execution import _bag_join_tree
 from ajar.planner import plan, run
 from conftest import ordering
 
@@ -61,8 +61,15 @@ def slope(points):
 
 
 def materializing_join(h, g, alpha, relations, semiring, domains=None, stats=None):
-    """The bag-materializing pipeline, whatever the plan."""
-    bags = _bag_join_tree(h, g, relations, semiring, stats)
+    """The bag-materializing pipeline, whatever the plan: every bag built
+    whole by generic_join, then aggro_yannakakis over the whole tree."""
+    home = execution._annotation_homes(h, g)
+    bags = {}
+    for t in g.chi:
+        edges, local = execution._bag_atoms(h, g, t, home, relations, semiring.one)
+        bags[t] = generic_join(Hypergraph.build(edges), local, semiring, stats)
+        if stats:
+            stats.record_bag(f"bag{t}", sum(map(len, local.values())), len(bags[t]))
     return aggro_yannakakis(g, bags, alpha, semiring, domains, stats)
 
 
@@ -327,7 +334,7 @@ class TestAggroGhdJoin:
     def test_message_passing_matches_materializing(self, monkeypatch):
         # run() on message-passing plans against the bag-materializing
         # pipeline and the oracle; plans with an output attribute below the
-        # root take the materializing path themselves
+        # root also join an output region of several bags in aggro_yannakakis
         configs = [
             ("int", ["sum"]),
             ("qplus", ["max", "sum"]),
@@ -338,9 +345,10 @@ class TestAggroGhdJoin:
         calls = []
         original = execution.aggro_yannakakis
 
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def spy(g, *args, **kwargs):
+            if len(g.chi) > 1:
+                calls.append(1)
+            return original(g, *args, **kwargs)
 
         monkeypatch.setattr(execution, "aggro_yannakakis", spy)
         rng = random.Random(83)
@@ -392,6 +400,97 @@ class TestAggroGhdJoin:
             assert stats.intermediate_tuples < baseline.intermediate_tuples
             points.append((big_n, stats.intermediate_tuples))
         assert slope(points) <= 2.0 + 0.1, points
+
+    def test_output_region_matches_naive_and_materializing(self):
+        # plans with an output attribute below the root: the output region's
+        # results are semijoin-reduced and joined, everything below them
+        # folds into messages
+        configs = [("int", ["sum"]), ("qplus", ["max", "sum"]), ("minplus", ["min"])]
+        rng = random.Random(97)
+        done = trial = 0
+        while done < 40:
+            trial += 1
+            name, ops = configs[trial % len(configs)]
+            sr = get_semiring(name)
+            n = rng.randint(3, 6)
+            attrs = [f"X{i}" for i in range(n)]
+            shuffled = rng.sample(attrs, n)
+            edges = [(f"E{i}", (shuffled[i], shuffled[i + 1])) for i in range(n - 1)]
+            for j in range(rng.randint(0, 2)):
+                edges.append((f"G{j}", tuple(rng.sample(attrs, rng.randint(2, min(3, n))))))
+            h = Hypergraph.build(edges)
+            alpha = AggregationOrdering(
+                tuple((a, rng.choice(ops)) for a in rng.sample(attrs, rng.randint(1, n - 1)))
+            )
+            p = plan(h, alpha)
+            if h.vertices - alpha.attrs() <= p.ghd.chi[p.ghd.root]:
+                continue
+            inst = RandomInstanceSpec(
+                semiring_name=name, density=0.7, seed=9000 + trial
+            ).instance(h)
+            stats, baseline = ExecStats(), ExecStats()
+            got = run(p, inst, None, sr, stats)
+            reference = materializing_join(h, p.ghd, p.beta, inst, sr, None, baseline)
+            context = (name, alpha.items, [(e.name, sorted(e.attrs)) for e in h.edges])
+            assert got == naive_eval(h, alpha, inst, None, sr) == reference, context
+            assert stats.intermediate_tuples <= baseline.intermediate_tuples, context
+            done += 1
+
+    def test_cycle_below_output_path_folds_into_a_message(self, int_sr):
+        # outputs A1-A3 on a path, a 4-cycle through A3 aggregated: the
+        # cycle's bags send a message to the region instead of being built
+        h = Hypergraph.build([
+            ("P1", ("A1", "A2")), ("P2", ("A2", "A3")),
+            ("C1", ("A3", "X")), ("C2", ("X", "Y")), ("C3", ("Y", "Z")), ("C4", ("Z", "A3")),
+        ])
+        alpha = ordering(("X", "sum"), ("Y", "sum"), ("Z", "sum"))
+        inst = RandomInstanceSpec(domain_size=5, density=0.5, seed=11).instance(h)
+        p = plan(h, alpha)
+        assert not {"A1", "A2", "A3"} <= p.ghd.chi[p.ghd.root]
+        stats, baseline = ExecStats(), ExecStats()
+        got = run(p, inst, None, int_sr, stats)
+        assert got == naive_eval(h, alpha, inst, None, int_sr)
+        assert got == materializing_join(h, p.ghd, p.beta, inst, int_sr, None, baseline)
+        assert stats.intermediate_tuples < baseline.intermediate_tuples
+
+    def test_every_multiplication_counted(self):
+        # ExecStats counts each call of the semiring's multiply: in the bag
+        # joins, in relations.join and the folds of the output region, and
+        # in run()'s product pre-pass and scalar joins
+        calls = []
+
+        def counting(name):
+            base = get_semiring(name)
+
+            def multiply(a, b):
+                calls.append(1)
+                return base.multiply(a, b)
+
+            return base, dataclasses.replace(base, multiply=multiply)
+
+        path = Hypergraph.build([(f"E{i}", (f"A{i}", f"A{i + 1}")) for i in range(1, 6)])
+        collapsed = Hypergraph.build([("R", ("A", "B")), ("S", ("C",))])
+        cases = [
+            ("int", path, ordering(("A4", "sum"), ("A5", "sum"), ("A6", "sum"))),
+            ("bool01", collapsed, ordering(("B", "max"), ("C", PRODUCT))),
+        ]
+        for name, h, alpha in cases:
+            base, sr = counting(name)
+            p = plan(h, alpha)
+            if h is path:  # outputs A1-A3 reach below the root
+                assert not {"A1", "A2", "A3"} <= p.ghd.chi[p.ghd.root]
+            else:  # S folds to a scalar in the pre-pass
+                assert p.prepass == [("S", "C")]
+            for seed in range(4):
+                inst = RandomInstanceSpec(
+                    semiring_name=name, domain_size=4, density=0.7, seed=seed
+                ).instance(h)
+                doms = DomainRegistry.from_declarations({}, inst)
+                calls.clear()
+                stats = ExecStats()
+                got = run(p, inst, doms, sr, stats)
+                assert got == naive_eval(h, alpha, inst, doms, base)
+                assert calls and stats.multiplications == len(calls), (name, seed)
 
 
 class TestExecuteAghd:

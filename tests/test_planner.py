@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +24,6 @@ from ajar.lp import fractional_cover_value
 from ajar.oracle import RandomInstanceSpec, floyd_warshall
 from ajar.ordering import test_equivalence as is_equivalent
 from ajar.ordering import test_equivalence_product as is_equivalent_product
-from ajar.planner import closure_chain_ghd
 from conftest import ordering
 
 
@@ -33,6 +33,28 @@ class TestPlan:
         assert p.width == 1
         bags = sorted(sorted(b) for b in p.ghd.chi.values())
         assert bags == [["A"], ["A", "B"], ["B", "C"]]
+
+    def test_no_output_triangle_has_no_empty_root(self):
+        h = Hypergraph.build([("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))])
+        p = plan(h, ordering(("A", "sum"), ("B", "sum"), ("C", "sum")))
+        assert p.ghd.chi == {p.ghd.root: frozenset("ABC")}
+        assert p.ghd.parent == {p.ghd.root: None}
+        assert p.width == Fraction(3, 2)
+        assert p.part_widths == [0, Fraction(3, 2)]  # the output part is empty
+
+    def test_no_output_parts_hang_below_the_first(self):
+        # two components and no output: the second part's root hangs below
+        # the first's instead of both below an empty bag
+        h = Hypergraph.build([("R", ("A", "B")), ("S", ("C", "D"))])
+        p = plan(h, ordering(("A", "sum"), ("B", "max"), ("C", "sum"), ("D", "max")))
+        g = p.ghd
+        assert all(g.chi.values())
+        assert g.chi[g.root] == frozenset("A")
+        (c_root,) = [t for t, bag in g.chi.items() if bag == frozenset("C")]
+        assert g.parent[c_root] == g.root
+        sr = get_semiring("qplus")
+        inst = RandomInstanceSpec(semiring_name="qplus", seed=4).instance(h)
+        assert run(p, inst, None, sr) == naive_eval(h, p.alpha, inst, None, sr)
 
     def test_star_five_parts_width_one(self):
         star = Hypergraph.build([(f"E{i}", ("A", f"B{i}")) for i in range(1, 5)])
@@ -250,9 +272,44 @@ class TestTransitiveClosure:
         with pytest.raises(QueryError):
             transitive_closure(AnnotatedRelation(("A",), {(1,): 1}), mp)
 
-    def test_chain_and_doubling_ghds_shape(self):
-        chain = closure_chain_ghd(4)
-        assert len(chain.chi) == 4
-        assert all(len(bag) <= 3 for bag in chain.chi.values())
-        h = Hypergraph.build([(f"R{i}", (f"A{i}", f"A{i+1}")) for i in range(1, 9)])
-        assert is_ghd(h, closure_chain_ghd(8))
+    def test_matches_floyd_warshall_with_unreachable_pairs(self):
+        mp = get_semiring("minplus")
+        rng = random.Random(73)
+        unreachable = 0
+        for trial in range(40):
+            n = rng.randint(2, 12)
+            nodes = list(range(n))
+            edges = {}
+            for _ in range(rng.randint(0, n + 2)):
+                u, v = rng.sample(nodes, 2)
+                edges[(u, v)] = rng.randint(0, 20)
+            rel = self._with_self_loops(edges, nodes)
+            closed = transitive_closure(rel, mp)
+            assert dict(closed.tuples) == floyd_warshall(rel), trial
+            unreachable += n * n - len(closed)
+        assert unreachable > 0
+
+    def test_plans_once_and_runs_once_per_round(self, monkeypatch):
+        from ajar import planner
+
+        calls = []
+        for name in ("plan", "run"):
+            original = getattr(planner, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(planner, name, spy)
+        n = 8
+        mp = get_semiring("minplus")
+        rel = self._with_self_loops({(i, i + 1): 1 for i in range(n - 1)}, range(n))
+        transitive_closure(rel, mp)
+        # walks of up to 7 steps: 1, 2, 4, 8 steps covered, then confirmed
+        assert calls == ["plan"] + ["run"] * 4
+
+    def test_negative_cycle_names_its_node(self):
+        mp = get_semiring("minplus")
+        rel = self._with_self_loops({(0, 1): 5, (1, 2): 2, (2, 1): -3, (2, 3): 1}, range(4))
+        with pytest.raises(QueryError, match="node 1 lies on an improving cycle"):
+            transitive_closure(rel, mp)

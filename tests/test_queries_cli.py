@@ -71,6 +71,24 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_query("Q(A) = max[B] R(A,B) @ semiring=int")
 
+    @pytest.mark.parametrize(
+        "text,message,line,column",
+        [
+            ("Q() = sum[Z] max[A] sum[B] R(A,B)", "aggregated attribute 'Z' not in the body", 1, 11),
+            ("Q(A) =\n  sum[Z] R(A,B)", "aggregated attribute 'Z' not in the body", 2, 7),
+            ("Q() = sum[A] max[A] R(A)", "attribute 'A' aggregated twice", 1, 18),
+            ("Q(A,B) = sum[B] R(A,B)", "head attributes may not be aggregated", 1, 5),
+            ("Q(A,Z) = sum[B] R(A,B)", "head attributes must be exactly ['A']", 1, 5),
+            ("Q(A,A) = sum[B] R(A,B)", "head attributes must be exactly ['A']", 1, 5),
+            ("Q() = R(A,B)", "head attributes must be exactly ['A', 'B']", 1, 3),
+            ("Q(A) = max[B] R(A,B) @ semiring=int", "operator 'max' unknown to semiring 'int'", 1, 8),
+        ],
+    )
+    def test_semantic_error_points_at_offending_token(self, text, message, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_query(text)
+        assert str(err.value) == f"{message} (line {line}, column {column})"
+
     def test_agg_list_parsing(self):
         q = parse_query("Q(A) = sum[C] sum[B] R(A,B), S(B,C)")
         beta = parse_agg_list("sum[B] sum[C]", q.ordering)
@@ -246,6 +264,19 @@ class TestCli:
         code = main(["closure", str(csv), "--semiring", "minplus"])
         assert code == 1
         assert "no transitive-closure fixpoint within 2 doublings" in capsys.readouterr().err
+
+    def test_closure_negative_cycle_names_its_node(self, tmp_path, capsys):
+        # every self-loop present at 0; the cycle 2 -> 3 -> 2 weighs -1
+        csv = tmp_path / "edges.csv"
+        csv.write_text(
+            "S,D,__annotation\n0,0,0\n1,1,0\n2,2,0\n3,3,0\n"
+            "0,1,4\n1,2,2\n2,3,3\n3,2,-4\n"
+        )
+        code = main(["closure", str(csv), "--semiring", "minplus"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "node 2 lies on an improving cycle" in captured.err
+        assert not captured.out
 
     def test_query_error_exit_code(self, tmp_path, capsys):
         (tmp_path / "q.aj").write_text("Q(A) = sum[B] R(A,B)\n")
