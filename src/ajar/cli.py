@@ -62,7 +62,10 @@ def cmd_run(args) -> int:
         if not semiring.knows_op(op):
             raise QueryError(f"operator {op!r} unknown to semiring {semiring.name!r}")
     relations = load_query_data(query, args.data, semiring)
-    domains = load_domains_json(args.domains, relations)
+    # active domains walk every tuple; only products and declared domains need them
+    domains = None
+    if args.domains or query.ordering.has_products():
+        domains = load_domains_json(args.domains, relations)
     stats = ExecStats() if args.explain else None
     query_plan = build_plan(query.hypergraph, query.ordering)
     result = run_plan(query_plan, relations, domains, semiring, stats)
@@ -138,6 +141,9 @@ def cmd_selftest(args) -> int:
         (Hypergraph.build([(f"E{i}", (f"A{i}", f"A{i + 1}")) for i in range(1, 6)]),
          AggregationOrdering.of(("A4", "sum"), ("A5", "sum"), ("A6", "sum"))),
     ]
+    triangle = [("E#1", ("A", "B")), ("E#2", ("B", "C")), ("E#3", ("A", "C"))]
+    triangle_h = Hypergraph.build(triangle)
+    triangle_alpha = AggregationOrdering.of(("A", "sum"), ("B", "sum"), ("C", "sum"))
     semiring = get_semiring("int")
     minplus = get_semiring("minplus")
     edge = Hypergraph.build([("E", ("S", "D"))])
@@ -149,6 +155,14 @@ def cmd_selftest(args) -> int:
             domains = DomainRegistry.from_declarations({}, inst)
             got = run_plan(build_plan(h, alpha), inst, domains, semiring)
             sound &= got == naive_eval(h, alpha, inst, domains, semiring)
+        # a self-join triangle whose atoms share one relation, so one trie
+        shared = RandomInstanceSpec(domain_size=4, seed=seed).instance(edge)["E"]
+        inst = {}
+        for name, attrs in triangle:
+            inst[name] = AnnotatedRelation.empty(attrs)
+            inst[name].tuples = shared.tuples
+        got = run_plan(build_plan(triangle_h, triangle_alpha), inst, None, semiring)
+        sound &= got == naive_eval(triangle_h, triangle_alpha, inst, None, semiring)
         # min-plus closure of a sparse graph, unreachable pairs included
         spec = RandomInstanceSpec(semiring_name="minplus", domain_size=6, density=0.2, seed=seed)
         rows = dict(spec.instance(edge)["E"].tuples)

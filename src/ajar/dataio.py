@@ -35,8 +35,8 @@ def load_relation_csv(
 ) -> AnnotatedRelation:
     """Header row: attribute names then __annotation.
 
-    When a schema is given (per-atom renaming), columns map positionally
-    unless the header already names exactly the same attributes.
+    When a schema is given (per-atom renaming), columns map as
+    ``_atom_relation`` maps them.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -48,25 +48,13 @@ def load_relation_csv(
         header = [col.strip() for col in header]
         if not header or header[-1] != ANNOTATION_COLUMN:
             raise QueryError(f"{path}: last column must be {ANNOTATION_COLUMN}")
-        file_attrs = tuple(header[:-1])
-        if schema is None:
-            schema = file_attrs
-        elif len(schema) != len(file_attrs):
-            raise QueryError(
-                f"{path}: {len(file_attrs)} columns, atom wants {len(schema)}"
-            )
-        # a header naming the schema's attributes maps by name, else by position
-        if set(schema) == set(file_attrs):
-            order = [file_attrs.index(a) for a in schema]
-        else:
-            order = range(len(file_attrs))
         rows = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise QueryError(f"{path}:{lineno}: wrong column count")
-            key = tuple(parse_value(row[i]) for i in order)
+            key = tuple(parse_value(cell) for cell in row[:-1])
             if key in rows:
                 raise QueryError(f"{path}:{lineno}: duplicate tuple {key}")
             try:
@@ -78,7 +66,23 @@ def load_relation_csv(
                 ) from None
             except QueryError as exc:
                 raise QueryError(f"{path}:{lineno}: {exc}") from None
-        return AnnotatedRelation(schema, rows, zero=semiring.zero)
+    rel = AnnotatedRelation(header[:-1], rows, zero=semiring.zero)
+    return rel if schema is None else _atom_relation(path, rel, schema)
+
+
+def _atom_relation(
+    path: Path, rel: AnnotatedRelation, attrs: tuple[str, ...]
+) -> AnnotatedRelation:
+    """A file's relation as the relation of an atom over attrs.  A header
+    naming the atom's attributes maps by name; otherwise columns map by
+    position and the atom's relation shares the file's tuple map."""
+    if len(attrs) != len(rel.schema):
+        raise QueryError(f"{path}: {len(rel.schema)} columns, atom wants {len(attrs)}")
+    if set(attrs) == set(rel.schema):
+        return rel.reorder(attrs)
+    out = AnnotatedRelation.empty(attrs)
+    out.tuples = rel.tuples
+    return out
 
 
 def write_relation_csv(
@@ -100,14 +104,19 @@ def write_relation_csv(
 def load_query_data(
     query: ParsedQuery, data_dir: str | Path, semiring: SemiringSpec
 ) -> dict[str, AnnotatedRelation]:
-    """One <RelationName>.csv per body atom; repeated atoms share one file."""
+    """One <RelationName>.csv per relation name, parsed once however many
+    atoms read it; each atom's columns map as ``_atom_relation`` maps them,
+    so atoms mapped by position share one tuple map."""
     data_dir = Path(data_dir)
+    files: dict[str, AnnotatedRelation] = {}
     out = {}
     for atom in query.atoms:
         path = data_dir / f"{atom.relation}.csv"
-        if not path.exists():
-            raise QueryError(f"missing relation file {path}")
-        out[atom.edge_name] = load_relation_csv(path, semiring, schema=atom.attrs)
+        if atom.relation not in files:
+            if not path.exists():
+                raise QueryError(f"missing relation file {path}")
+            files[atom.relation] = load_relation_csv(path, semiring)
+        out[atom.edge_name] = _atom_relation(path, files[atom.relation], atom.attrs)
     return out
 
 

@@ -24,6 +24,9 @@ multiplication is counted, including those inside ``join`` and the folds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import repeat
+from operator import and_
 from typing import Mapping, Optional
 
 from .errors import InternalError, QueryError
@@ -89,17 +92,26 @@ def generic_join(
     fold: Optional[AggregationOrdering] = None,
     domains: Optional[DomainRegistry] = None,
 ) -> AnnotatedRelation:
-    """Worst-case-optimal join: attribute-at-a-time expansion with candidate
-    intersection, smallest candidate set first.
+    """Worst-case-optimal join (Generic Join): attribute-at-a-time expansion
+    over one trie per atom.
+
+    A level's candidates are the values every active trie holds there: the
+    intersection of their key views, computed in C, smallest first (each
+    ``&`` iterates the smaller side).  Only a value in the intersection gets
+    child nodes, written into one list per level visit.  Atoms over the same
+    tuple map (by identity) whose columns sit at the same levels in the same
+    order share one trie, built once per call.
 
     The attributes of ``fold`` are aggregated inside the recursion: they are
     expanded last, outermost first, and each level folds what the levels below
     it return, so the joined tuples are never stored.  The other attributes
     come first, cheapest candidate sets first, and form the output schema.
-    ``sum``/``max``/``min`` fold with the semiring's additive operator;
-    ``prod`` keeps a group only if its nonzero values cover the attribute's
-    whole domain, as ``product_aggregate`` does.  An atom whose annotations
-    are all one only filters: it never enters a multiplication.
+    ``sum``/``max``/``min`` fold with the semiring's additive operator; on the
+    last level that is one ``reduce`` over the leaf products, with no Python
+    frame per tuple for built-in operators.  ``prod`` keeps a group only if
+    its nonzero values cover the attribute's whole domain, as
+    ``product_aggregate`` does.  An atom whose annotations are all one only
+    filters: it never enters a multiplication.
     """
     fold = fold or AggregationOrdering(())
     steps = []  # per fold level: (additive operator, None) or (None, domain)
@@ -139,56 +151,82 @@ def generic_join(
     if any(not rel.tuples for rel in rels):
         return AnnotatedRelation.empty(tuple(free))
     order = free + list(fold.attr_list())
+    one = semiring.one
+    zero = semiring.zero
 
     tries = []
+    shared: dict = {}  # (id of a tuple map, its column per level) -> trie
     for rel in rels:
         # edges are never empty and each schema matches its edge, so every
         # relation has at least one level
-        levels = [a for a in order if a in rel.schema]
-        root: dict = {}
-        *inner, last = [rel.schema.index(a) for a in levels]
-        for row, lam in rel.tuples.items():
-            node = root
-            for i in inner:
-                node = node.setdefault(row[i], {})
-            node[row[last]] = lam
-        tries.append(root)
+        cols = tuple(rel.schema.index(a) for a in order if a in rel.schema)
+        key = (id(rel.tuples), cols)
+        if key not in shared:
+            root: dict = {}
+            *inner, last = cols
+            for row, lam in rel.tuples.items():
+                node = root
+                for i in inner:
+                    node = node.setdefault(row[i], {})
+                node[row[last]] = lam
+            shared[key] = root
+        tries.append(shared[key])
     # per level, the tries that hold its attribute (every attribute has one)
     active = [[i for i, rel in enumerate(rels) if attr in rel.schema] for attr in order]
-    one = semiring.one
-    zero = semiring.zero
     weighted = [i for i, rel in enumerate(rels) if any(lam != one for lam in rel.tuples.values())]
+    bottom = len(order) - 1
+    # the last level folds additively: no frame per tuple below it
+    add_last = steps[-1][0] if fold.items and steps[-1][1] is None else None
+    live = set(active[bottom])  # the tries whose leaf dicts reach the last level
 
-    def matches(level: int, nodes: list):
-        """Each value every active trie holds, with the nodes one level down."""
+    def hits(level: int, nodes: list):
+        """The values every active trie holds at this level.  ``&`` of two
+        key views iterates the smaller one; with more, the smallest go first."""
         act = active[level]
-        smallest = min(act, key=lambda i: len(nodes[i]))
-        others = [i for i in act if i != smallest]
-        for value, sub in nodes[smallest].items():
-            child = nodes.copy()
-            child[smallest] = sub
-            for i in others:
-                node = nodes[i]
-                if value not in node:
-                    break
-                child[i] = node[value]
-            else:
-                yield value, child
+        if len(act) == 1:
+            return nodes[act[0]]
+        if len(act) == 2:
+            return nodes[act[0]].keys() & nodes[act[1]].keys()
+        return reduce(and_, sorted([nodes[i].keys() for i in act], key=len))
+
+    def leaf(level: int, nodes: list):
+        """The product of the weighted annotations below nodes."""
+        if not weighted:
+            return one
+        annotation = nodes[weighted[0]]
+        for i in weighted[1:]:
+            annotation = mul(annotation, nodes[i])
+        return annotation
+
+    def last_fold(level: int, nodes: list):
+        """``leaf`` for each value of the last level, folded by ``add_last``.
+        A trie that ended above the level contributes its annotation to every
+        product, multiplied in per value as ``leaf`` would."""
+        values = hits(level, nodes)
+        n = len(values)
+        if not weighted:
+            return reduce(add_last, repeat(one, n), zero)
+        factors = [
+            map(nodes[i].__getitem__, values) if i in live else repeat(nodes[i], n)
+            for i in weighted
+        ]
+        products = factors[0]
+        for factor in factors[1:]:
+            products = map(mul, products, factor)
+        return reduce(add_last, products, zero)
 
     def folded(level: int, nodes: list):
         """The fold over order[level:] of the leaf products below nodes."""
-        if level == len(order):
-            if not weighted:
-                return one
-            annotation = nodes[weighted[0]]
-            for i in weighted[1:]:
-                annotation = mul(annotation, nodes[i])
-            return annotation
         add, domain = steps[level - len(free)]
+        act = active[level]
+        descend = fold_at[level + 1]
+        child = nodes.copy()
         acc = None
         seen = 0
-        for value, child in matches(level, nodes):
-            lam = folded(level + 1, child)
+        for value in hits(level, nodes):
+            for i in act:
+                child[i] = nodes[i][value]
+            lam = descend(level + 1, child)
             if lam == zero:
                 continue
             if domain is None:
@@ -204,17 +242,25 @@ def generic_join(
             return zero
         return acc
 
+    # per level from len(free) on: what folds order[level:]
+    fold_at = [folded] * len(order) + [leaf]
+    if add_last is not None:
+        fold_at[bottom] = last_fold
     out = AnnotatedRelation.empty(tuple(free))
     store = out.tuples
     assignment: list = []
 
     def expand(level: int, nodes: list) -> None:
         if level == len(free):
-            annotation = folded(level, nodes)
+            annotation = fold_at[level](level, nodes)
             if annotation != zero:
                 store[tuple(assignment)] = annotation
             return
-        for value, child in matches(level, nodes):
+        act = active[level]
+        child = nodes.copy()
+        for value in hits(level, nodes):
+            for i in act:
+                child[i] = nodes[i][value]
             assignment.append(value)
             expand(level + 1, child)
             assignment.pop()

@@ -246,9 +246,7 @@ def run(
                 f"relation {e.name!r} has schema {rel.schema}, expected {sorted(e.attrs)}"
             )
     live = {e.name for e in query_plan.hypergraph.edges}
-    for name in sorted(working):
-        if name in live:
-            continue
+    for name in sorted({edge for edge, _ in query_plan.prepass} - live):
         # relation fully collapsed by the pre-pass: joins in as a scalar
         if working[name].schema:
             raise InternalError(f"dropped edge {name!r} still has attributes")

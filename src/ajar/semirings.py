@@ -8,6 +8,7 @@ exact (ints, Fractions, or an explicit infinity sentinel), never floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Mapping
@@ -129,8 +130,8 @@ register_semiring(
     SemiringSpec(
         name="int",
         domain="integer",
-        additive_ops={"sum": lambda a, b: a + b},
-        multiply=lambda a, b: a * b,
+        additive_ops={"sum": operator.add},
+        multiply=operator.mul,
         zero=0,
         one=1,
     )
@@ -140,8 +141,8 @@ register_semiring(
     SemiringSpec(
         name="qplus",
         domain="nonneg-real",
-        additive_ops={"sum": lambda a, b: a + b, "max": max},
-        multiply=lambda a, b: a * b,
+        additive_ops={"sum": operator.add, "max": max},
+        multiply=operator.mul,
         zero=Fraction(0),
         one=Fraction(1),
     )
@@ -163,7 +164,7 @@ register_semiring(
         name="bool01",
         domain="boolean-01",
         additive_ops={"max": max},
-        multiply=lambda a, b: a * b,
+        multiply=operator.mul,
         zero=0,
         one=1,
         multiply_idempotent=True,

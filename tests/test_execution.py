@@ -1,6 +1,9 @@
+import collections
 import dataclasses
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -130,6 +133,92 @@ class TestGenericJoin:
             got = generic_join(h, inst, sr, None, fold, doms)
             want = execution._fold_ordering(generic_join(h, inst, sr), fold, sr, doms)
             assert got == want, (name, fold.items)
+
+    def test_kernel_matches_folding_the_join(self):
+        # seeded sweep of the trie kernel: three or more tries on one level,
+        # atoms sharing one tuple map (one trie when their columns line up),
+        # all-one atoms, weighted tries that end above the last level and
+        # every kind of last-level fold, against folding the whole join
+        configs = [("int", ["sum"]), ("qplus", ["sum", "max"]), ("minplus", ["min"]),
+                   ("bool01", ["max", PRODUCT])]
+        values = {
+            "int": lambda rng: rng.choice([-3, -2, -1, 1, 2, 3]),  # sums cancel to zero
+            "qplus": lambda rng: Fraction(rng.randint(1, 6), rng.randint(1, 3)),
+            "minplus": lambda rng: rng.randint(0, 9),
+            "bool01": lambda rng: 1,
+        }
+        shapes = [
+            [("A", "B"), ("B", "C"), ("A", "C")],
+            [("A", "B"), ("B", "C"), ("B", "D"), ("B",)],
+            [("A", "B"), ("B", "C"), ("A", "B", "C"), ("C", "D")],
+            [("A", "B"), ("B", "A"), ("B", "C")],
+        ]
+        rng = random.Random(53)
+        seen = collections.Counter()
+        for trial in range(160):
+            name, ops = configs[trial % len(configs)]
+            sr = get_semiring(name)
+            maps: dict[int, dict] = {}  # arity -> a tuple map atoms of that arity may share
+            edges, rels = [], {}
+            for k, attrs in enumerate(rng.choice(shapes)):
+                if len(attrs) in maps and rng.random() < 0.6:
+                    tuples = maps[len(attrs)]
+                else:
+                    weight = values[name] if rng.random() < 0.7 else lambda rng: sr.one
+                    rows = itertools.product(range(3), repeat=len(attrs))
+                    tuples = {row: weight(rng) for row in rows if rng.random() < 0.7}
+                    maps[len(attrs)] = tuples
+                rel = AnnotatedRelation.empty(attrs)
+                rel.tuples = tuples
+                edges.append((f"E{k}", attrs))
+                rels[f"E{k}"] = rel
+            h = Hypergraph.build(edges)
+            aggregated = rng.sample(sorted(h.vertices), rng.randint(0, len(h.vertices)))
+            fold = AggregationOrdering(tuple((a, rng.choice(ops)) for a in aggregated))
+            doms = DomainRegistry.from_declarations({}, rels)
+            got = generic_join(h, rels, sr, None, fold, doms)
+            want = execution._fold_ordering(join(rels.values(), sr), fold, sr, doms)
+            assert got == want, (name, fold.items, edges)
+            if fold.items:
+                last, op = fold.items[-1]
+                weighted = [r for r in rels.values() if set(r.tuples.values()) != {sr.one}]
+                seen["prod last"] += op == PRODUCT
+                seen["reduce last"] += op != PRODUCT
+                seen["ended"] += op != PRODUCT and any(last not in r.schema for r in weighted)
+            seen["shared"] += len({id(r.tuples) for r in rels.values()}) < len(rels)
+            seen["all-one"] += any(set(r.tuples.values()) == {sr.one} for r in rels.values())
+            seen["zero"] += name == "int" and len(got) < len(join(rels.values(), sr))
+        cases = ("prod last", "reduce last", "ended", "shared", "all-one", "zero")
+        assert min(seen[case] for case in cases) >= 10, seen
+
+    def test_multiplications_counted_on_a_weighted_self_join(self):
+        # the reduce on the last level multiplies len(weighted) - 1 times per
+        # joined tuple, two of its factors from tries that ended above it,
+        # and ExecStats counts every call
+        calls = []
+        base = get_semiring("int")
+
+        def multiply(a, b):
+            calls.append(1)
+            return base.multiply(a, b)
+
+        sr = dataclasses.replace(base, multiply=multiply)
+        rng = random.Random(59)
+        tuples = {(a, b): rng.choice([-2, -1, 2, 3]) for a in range(6) for b in range(6)
+                  if rng.random() < 0.5}
+        atoms = [("E1", ("A", "B")), ("E2", ("B", "C")), ("E3", ("A", "C")), ("E4", ("A", "B"))]
+        h = Hypergraph.build(atoms)
+        rels = {}
+        for name, attrs in atoms:
+            rels[name] = AnnotatedRelation.empty(attrs)
+            rels[name].tuples = tuples
+        joined = join(rels.values(), base)
+        for fold in (ordering(("A", "sum"), ("B", "sum"), ("C", "sum")), ordering(("C", "sum"))):
+            calls.clear()
+            stats = ExecStats()
+            got = generic_join(h, rels, sr, stats, fold)
+            assert got == execution._fold_ordering(joined, fold, base, None)
+            assert stats.multiplications == len(calls) == 3 * len(joined)
 
     def test_product_fold_rejects_value_outside_domain(self):
         sr = get_semiring("bool01")

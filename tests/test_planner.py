@@ -175,6 +175,12 @@ class TestRun:
         with pytest.raises(QueryError):
             run(p, bad, None, int_sr)
 
+    def test_extra_relations_are_ignored(self, fig1, int_sr, chain_h):
+        # a relation the plan does not use is neither joined nor an error
+        p = plan(chain_h, ordering(("C", "sum"), ("B", "sum")))
+        extra = dict(fig1, X=AnnotatedRelation(("Z",), {(1,): 5}))
+        assert run(p, extra, None, int_sr) == run(p, fig1, None, int_sr)
+
     def test_matches_naive_on_randoms(self):
         rng = random.Random(61)
         for trial in range(60):

@@ -7,8 +7,10 @@ import pytest
 
 from ajar import AnnotatedRelation, ParseError, QueryError, get_semiring
 from ajar.cli import main
+from ajar import dataio
 from ajar.dataio import (
     load_domains_json,
+    load_query_data,
     load_relation_csv,
     load_stats_json,
     write_relation_csv,
@@ -134,6 +136,32 @@ class TestDataIO:
         path.write_text("B,A,__annotation\n2,1,5\n")
         rel = load_relation_csv(path, int_sr, schema=("A", "B"))
         assert rel.tuples == {(1, 2): 5}
+
+    def test_self_join_parses_its_file_once(self, tmp_path, int_sr, monkeypatch):
+        # the triangle's three atoms map src,dst by position onto one tuple map
+        (tmp_path / "E.csv").write_text("src,dst,__annotation\n1,2,1\n2,3,1\n1,3,1\n")
+        query = parse_query("Q() = sum[A] sum[B] sum[C] E(A,B), E(B,C), E(A,C)")
+        parsed = []
+        original = dataio.load_relation_csv
+
+        def spy(*args, **kwargs):
+            parsed.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dataio, "load_relation_csv", spy)
+        rels = load_query_data(query, tmp_path, int_sr)
+        assert parsed == [tmp_path / "E.csv"]
+        assert [rel.schema for rel in rels.values()] == [("A", "B"), ("B", "C"), ("A", "C")]
+        assert len({id(rel.tuples) for rel in rels.values()}) == 1
+        assert rels["E#1"].tuples == {(1, 2): 1, (2, 3): 1, (1, 3): 1}
+
+    def test_shared_file_maps_by_name_per_atom(self, tmp_path, int_sr):
+        # one parse, yet an atom over the header's attributes maps by name
+        (tmp_path / "R.csv").write_text("B,A,__annotation\n2,1,5\n")
+        query = parse_query("Q() = sum[A] sum[B] sum[C] R(A,B), R(B,C)")
+        rels = load_query_data(query, tmp_path, int_sr)
+        assert rels["R#1"].schema == ("A", "B") and rels["R#1"].tuples == {(1, 2): 5}
+        assert rels["R#2"].schema == ("B", "C") and rels["R#2"].tuples == {(2, 1): 5}
 
     def test_missing_annotation_column(self, tmp_path, int_sr):
         path = tmp_path / "R.csv"
@@ -337,6 +365,45 @@ class TestCli:
         )
         assert code == 0
         assert out.read_text().splitlines() == ["A,C,__annotation", "0,1,1"]
+
+    def test_run_wrong_column_count_exit_code(self, worked_example_dir, capsys):
+        relation = worked_example_dir / "data" / "S.csv"
+        relation.write_text("B,C,D,__annotation\n1,1,1,4\n")
+        code = main(["run", str(worked_example_dir / "q.aj"), "--data", str(relation.parent)])
+        assert code == 1
+        assert f"{relation}: 3 columns, atom wants 2" in capsys.readouterr().err
+
+    def test_run_builds_domains_only_when_needed(
+        self, worked_example_dir, tmp_path, monkeypatch, capsys
+    ):
+        from ajar import cli
+
+        calls = []
+        original = cli.load_domains_json
+
+        def spy(path, relations):
+            calls.append(path)
+            return original(path, relations)
+
+        monkeypatch.setattr(cli, "load_domains_json", spy)
+        data = str(worked_example_dir / "data")
+        # a sum query without --domains never scans active domains
+        assert main(["run", str(worked_example_dir / "q.aj"), "--data", data]) == 0
+        assert calls == [] and "1,26" in capsys.readouterr().out
+        # a product query builds active domains without --domains
+        (tmp_path / "p.aj").write_text("Q(A) = prod[B] R(A,B) @ semiring=bool01\n")
+        (tmp_path / "R.csv").write_text("A,B,__annotation\n0,0,1\n0,1,1\n1,0,1\n")
+        assert main(["run", str(tmp_path / "p.aj"), "--data", str(tmp_path)]) == 0
+        assert calls == [None] and capsys.readouterr().out.splitlines() == [
+            "A,__annotation", "0,1"
+        ]
+        # declared domains are checked even when nothing needs them
+        declared = tmp_path / "d.json"
+        declared.write_text(json.dumps({"B": [1, 2]}))
+        args = ["run", str(worked_example_dir / "q.aj"), "--data", data, "--domains", str(declared)]
+        assert main(args) == 1
+        assert calls == [None, str(declared)]
+        assert "outside its declared domain" in capsys.readouterr().err
 
     def test_plan_data_mode(self, worked_example_dir, tmp_path, capsys):
         stats = tmp_path / "s.json"
