@@ -39,8 +39,9 @@ for (u, v), d in sorted(closed.tuples.items()):
 
 print("\nagrees with Floyd-Warshall:", dict(closed.tuples) == floyd_warshall(graph))
 
-# each round runs one ordinary plan: the output pair at the root, the
-# middle node folded inside the join of the bag below it
+# each round runs one ordinary plan of a single bag {X,M,Y}: one join that
+# folds the middle node inside its recursion (the output part's bag {X,Y}
+# lies inside it and is contracted away)
 p = plan(
     Hypergraph.build([("L1", ("X", "M")), ("L2", ("M", "Y"))]),
     AggregationOrdering.of(("M", "min")),

@@ -111,7 +111,8 @@ def generic_join(
     frame per tuple for built-in operators.  ``prod`` keeps a group only if
     its nonzero values cover the attribute's whole domain, as
     ``product_aggregate`` does.  An atom whose annotations are all one only
-    filters: it never enters a multiplication.
+    filters: it never enters a multiplication.  Like a trie, that check is
+    made once per tuple map.
     """
     fold = fold or AggregationOrdering(())
     steps = []  # per fold level: (additive operator, None) or (None, domain)
@@ -156,7 +157,10 @@ def generic_join(
 
     tries = []
     shared: dict = {}  # (id of a tuple map, its column per level) -> trie
+    weighty: dict = {}  # id of a tuple map -> whether any annotation is not one
     for rel in rels:
+        if id(rel.tuples) not in weighty:
+            weighty[id(rel.tuples)] = any(lam != one for lam in rel.tuples.values())
         # edges are never empty and each schema matches its edge, so every
         # relation has at least one level
         cols = tuple(rel.schema.index(a) for a in order if a in rel.schema)
@@ -173,7 +177,7 @@ def generic_join(
         tries.append(shared[key])
     # per level, the tries that hold its attribute (every attribute has one)
     active = [[i for i, rel in enumerate(rels) if attr in rel.schema] for attr in order]
-    weighted = [i for i, rel in enumerate(rels) if any(lam != one for lam in rel.tuples.values())]
+    weighted = [i for i, rel in enumerate(rels) if weighty[id(rel.tuples)]]
     bottom = len(order) - 1
     # the last level folds additively: no frame per tuple below it
     add_last = steps[-1][0] if fold.items and steps[-1][1] is None else None

@@ -301,11 +301,14 @@ def width(
     mode: str = "unit",
     cost_edges: Optional[list[tuple[frozenset[str], Any]]] = None,
 ) -> WidthReport:
-    """Per-bag fractional cover optimum; overall width is the max."""
+    """Per-bag fractional cover optimum; overall width is the max.  An empty
+    bag costs zero without an LP."""
     if cost_edges is None:
         cost_edges = cost_edges_for(h, sizes, mode)
+    exact = mode == "unit"
+    zero = Fraction(0) if exact else 0.0
     per_bag = {
-        t: fractional_cover_value(bag, cost_edges, exact=(mode == "unit"))
+        t: fractional_cover_value(bag, cost_edges, exact) if bag else zero
         for t, bag in g.chi.items()
     }
     return WidthReport.collect(mode, per_bag)
@@ -636,11 +639,18 @@ def optimal_ghd(
         if parent[i] is None and i != root:
             parent[i] = root  # disconnected component roots hang off the last bag
     g = Ghd(root=root, parent=parent, chi={i: bags[i] for i in range(len(order))})
-    return _merge_redundant(g)
+    return contract_redundant(g)
 
 
-def _merge_redundant(g: Ghd) -> Ghd:
-    """Contract nodes whose bag is contained in a neighbour's bag."""
+def contract_redundant(g: Ghd, lone_child_only: bool = False) -> Ghd:
+    """Contract nodes whose bag is contained in a neighbour's bag: a child
+    into a parent that holds its bag, or a parent into a child that holds
+    the parent's bag.  With lone_child_only, a parent folds only into its
+    only child, so no attribute's TOP node moves above a sibling subtree.
+
+    Only adjacent nodes merge and the merged bag is the larger one, so edge
+    cover and running intersection survive, and every dropped bag lies in a
+    kept one: the width does not change."""
     parent = dict(g.parent)
     chi = dict(g.chi)
     root = g.root
@@ -652,7 +662,9 @@ def _merge_redundant(g: Ghd) -> Ghd:
             p = parent[t]
             if p is None:
                 continue
-            if chi[t] <= chi[p] or chi[p] < chi[t]:
+            if chi[t] <= chi[p] or (
+                chi[p] < chi[t] and not (lone_child_only and len(kids[p]) > 1)
+            ):
                 # keep the larger bag at the parent, the child's children below it
                 chi[p] |= chi[t]
                 for c in kids[t]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .errors import QueryError
 from .ghd import Ghd
@@ -196,6 +196,7 @@ def exhaustive_valid_ghds(
     h: Hypergraph,
     alpha: AggregationOrdering,
     bag_size_cap: Optional[int] = None,
+    bag_filter: Optional[Callable[[frozenset[str]], bool]] = None,
 ) -> Iterator[Ghd]:
     """All valid GHDs with distinct bags and at most |V| nodes, up to
     isomorphism.
@@ -207,6 +208,10 @@ def exhaustive_valid_ghds(
     violations can never be repaired by adding leaves, so both prune.
     Bags are distinct, so a state is exactly its root plus (bag, parent-bag)
     pairs; no tree canonicalization is needed for dedup.
+
+    With bag_filter, a bag is placed only while bag_filter(bag) holds; it is
+    asked again at every placement, so its answer may change as the stream
+    is consumed.
     """
     n = len(h.vertices)
     if n > 5:
@@ -236,6 +241,9 @@ def exhaustive_valid_ghds(
     def to_bag(mask: int) -> frozenset[str]:
         return frozenset(v for v in verts if mask & bit[v])
 
+    def admits(mask: int) -> bool:
+        return bag_filter is None or bag_filter(to_bag(mask))
+
     seen_states: set[frozenset] = set()
 
     # nodes: list of (bag_mask, parent_index); topped[i]: attrs topped at node i
@@ -256,7 +264,7 @@ def exhaustive_valid_ghds(
             return
         used = {bag for bag, _ in nodes}
         for bag in all_bags:
-            if bag in used:
+            if bag in used or not admits(bag):
                 continue
             returning = bag & present
             fresh = bag & ~present
@@ -298,7 +306,7 @@ def exhaustive_valid_ghds(
 
     for bag in all_bags:
         state = frozenset([(bag, -1)])
-        if state in seen_states:
+        if state in seen_states or not admits(bag):
             continue
         seen_states.add(state)
         covered = 0
@@ -314,7 +322,11 @@ def min_valid_width(
     sizes: Optional[dict[str, int]] = None,
     mode: str = "unit",
 ) -> object:
-    """Minimum width over the exhaustive valid-GHD stream."""
+    """Minimum width over the exhaustive valid-GHD stream.
+
+    Width is a maximum over bags and the best so far only falls, so a bag
+    costing at least the best can never be in a narrower GHD: the stream
+    skips it, and the minimum stays exact."""
     from .ghd import cost_edges_for
     from .lp import fractional_cover_value
 
@@ -327,7 +339,11 @@ def min_valid_width(
         return cache[bag]
 
     best = None
-    for g in exhaustive_valid_ghds(h, alpha):
+
+    def cheap(bag: frozenset) -> bool:
+        return best is None or bag_cost(bag) < best
+
+    for g in exhaustive_valid_ghds(h, alpha, bag_filter=cheap):
         w = max(bag_cost(bag) for bag in g.chi.values())
         if best is None or w < best:
             best = w

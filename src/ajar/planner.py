@@ -15,6 +15,7 @@ from .ghd import (
     WidthReport,
     aghd_from_stitched,
     characteristic_tree,
+    contract_redundant,
     cost_edges_for,
     is_compatible,
     is_valid,
@@ -171,8 +172,8 @@ def plan(
         optimal_ghd(part.hypergraph, sizes=None, mode=mode, cap=cap, cost_edges=cost)
         for part in parts
     ]
-    decomposition: Ghd | Aghd = stitch_tree(tree, part_ghds)
-    decomposition = _drop_empty_root(decomposition, products)
+    stitched = stitch_tree(tree, part_ghds)
+    decomposition: Ghd | Aghd = _contract(stitched, products)
     if products:
         decomposition = aghd_from_stitched(h, alpha, decomposition)
     beta = _compatible_ordering(decomposition, alpha)
@@ -185,20 +186,32 @@ def plan(
         raise InternalError("stitched GHD is not valid")
     if products:
         report = width(decomposition.tree, decomposition.hypergraph_p, sizes, mode)
+        part_widths = _regroup_part_widths(part_ghds, report)
     else:
-        report = width(decomposition, h, sizes, mode)
-    part_widths = _regroup_part_widths(part_ghds, report)
+        # every stitched bag priced once; each kept bag carries its entry
+        stitched_report = width(stitched, h, sizes, mode)
+        part_widths = _regroup_part_widths(part_ghds, stitched_report)
+        by_bag = {stitched.chi[t]: w for t, w in stitched_report.per_bag.items()}
+        report = WidthReport.collect(
+            mode, {t: by_bag[bag] for t, bag in decomposition.chi.items()}
+        )
     return Plan(h, alpha, decomposition, beta, report, [p.hypergraph for p in parts], part_widths, prepass)
 
 
-def _drop_empty_root(g: Ghd, products: bool) -> Ghd:
-    """A query without output attributes stitches its parts under an empty
-    root bag, which would only join nothing and multiply by one.  Its first
-    child becomes the root; the other children share no attribute with it
-    and hang below it.  Product parts can share a product attribute, and
-    hanging one below another would order the TOP nodes of its copies
-    against each other, so with products only a lone child replaces the
-    root."""
+def _contract(g: Ghd, products: bool) -> Ghd:
+    """Fold away stitched bags that repeat a neighbour's attributes.
+
+    Product-free, a child inside its parent folds into it and a parent inside
+    its only child folds into that child.  Merging adjacent nodes keeps edge
+    cover, running intersection and the width, and only removes
+    strict-ancestor pairs of TOP nodes, so validity and compatibility hold.
+    An empty root left with several children (no outputs) passes the root to
+    its first child; the others share no attribute with it and hang below.
+    Product parts can share a product attribute, and hanging one below
+    another would order the TOP nodes of its copies, so with products only a
+    lone child replaces an empty root and nothing else folds."""
+    if not products:
+        g = contract_redundant(g, lone_child_only=True)
     kids = g.children_map()[g.root]
     if g.chi[g.root] or not kids or (products and len(kids) > 1):
         return g
@@ -210,9 +223,9 @@ def _drop_empty_root(g: Ghd, products: bool) -> Ghd:
 
 
 def _regroup_part_widths(part_ghds: list[Ghd], report: WidthReport) -> list[Any]:
-    """Per-part widths read off the stitched report, so no bag's cover LP is
-    solved twice.  Stitching numbers the bags part by part in part order; a
-    dropped empty root leaves its part with no bag, and width zero."""
+    """Per-part widths read off the stitched bags' report, so no cover LP is
+    solved twice.  Stitching numbers the bags part by part in part order; an
+    empty root dropped from a product plan leaves its part width zero."""
     widths, start = [], 0
     for g in part_ghds:
         end = start + len(g.chi)

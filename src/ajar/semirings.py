@@ -20,7 +20,8 @@ PRODUCT = "prod"
 
 
 class _Infinity:
-    """Sentinel for the min-plus zero; compares greater than every int."""
+    """Sentinel for the min-plus zero; compares greater than every int and
+    absorbs addition, so builtin ``min`` and ``+`` are min-plus's ⊕ and ⊗."""
 
     _instance = None
 
@@ -43,6 +44,11 @@ class _Infinity:
 
     def __ge__(self, other):
         return True
+
+    def __add__(self, other):
+        return self
+
+    __radd__ = __add__
 
 
 INF = _Infinity()
@@ -93,18 +99,6 @@ class SemiringSpec:
         return "inf" if value is INF else str(value)
 
 
-def _minplus_add(a, b):
-    return INF if a is INF or b is INF else a + b
-
-
-def _minplus_min(a, b):
-    if a is INF:
-        return b
-    if b is INF:
-        return a
-    return min(a, b)
-
-
 _REGISTRY: dict[str, SemiringSpec] = {}
 
 
@@ -152,8 +146,8 @@ register_semiring(
     SemiringSpec(
         name="minplus",
         domain="extended-integer-with-infinity",
-        additive_ops={"min": _minplus_min},
-        multiply=_minplus_add,
+        additive_ops={"min": min},
+        multiply=operator.add,
         zero=INF,
         one=0,
     )

@@ -37,3 +37,20 @@ def fig2():
 
 def ordering(*items):
     return AggregationOrdering(tuple(items))
+
+
+def random_query(rng, ops=("sum", "max", "min"), max_attrs=5, max_edges=5):
+    """A random product-free query: 1 to max_edges atoms of arity 1 to 3 over
+    at most max_attrs attributes, a random subset of them aggregated."""
+    n = rng.randint(1, max_attrs)
+    attrs = [f"X{i}" for i in range(n)]
+    edges = [
+        (f"E{j}", tuple(rng.sample(attrs, rng.randint(1, min(3, n)))))
+        for j in range(rng.randint(1, max_edges))
+    ]
+    h = Hypergraph.build(edges)
+    verts = sorted(h.vertices)
+    alpha = AggregationOrdering(
+        tuple((a, rng.choice(ops)) for a in rng.sample(verts, rng.randint(0, len(verts))))
+    )
+    return h, alpha

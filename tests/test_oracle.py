@@ -12,6 +12,7 @@ from ajar import (
     QueryError,
     get_semiring,
     naive_eval,
+    plan,
     semantic_equiv,
     width,
 )
@@ -22,7 +23,7 @@ from ajar.oracle import (
     floyd_warshall,
     min_valid_width,
 )
-from conftest import ordering
+from conftest import ordering, random_query
 
 
 class TestNaiveEval:
@@ -105,8 +106,6 @@ class TestExhaustiveValidGhds:
         assert min_valid_width(chain_h, alpha) == 1
 
     def test_min_width_matches_planner_on_blocked_example(self):
-        from ajar import plan
-
         h = Hypergraph.build([("R", ("A", "B")), ("S", ("B", "D")), ("T", ("C", "D"))])
         alpha = ordering(("A", "sum"), ("B", "max"), ("C", "max"), ("D", "sum"))
         assert min_valid_width(h, alpha) == plan(h, alpha).width
@@ -125,6 +124,26 @@ class TestExhaustiveValidGhds:
     def test_bag_size_cap_limits_bags(self, chain_h):
         for g in exhaustive_valid_ghds(chain_h, ordering(), bag_size_cap=2):
             assert all(len(bag) <= 2 for bag in g.chi.values())
+
+    def test_bag_filter_skips_bags(self, chain_h):
+        small = list(exhaustive_valid_ghds(chain_h, ordering(), bag_filter=lambda b: len(b) < 3))
+        assert small
+        assert all(len(bag) < 3 for g in small for bag in g.chi.values())
+        everything = list(exhaustive_valid_ghds(chain_h, ordering()))
+        assert len(small) == sum(all(len(b) < 3 for b in g.chi.values()) for g in everything)
+
+    @pytest.mark.parametrize("mode", ["unit", "data"])
+    def test_plan_width_is_the_exhaustive_minimum(self, mode):
+        # the planner's width is the minimum over every valid GHD, and the
+        # maximum over its parts, also after stitched bags are contracted
+        rng = random.Random(89 if mode == "unit" else 97)
+        for trial in range(60):
+            h, alpha = random_query(rng)
+            sizes = {e.name: rng.randint(1, 1000) for e in h.edges} if mode == "data" else None
+            p = plan(h, alpha, sizes=sizes, mode=mode)
+            where = (trial, alpha.items, h.edges, sizes)
+            assert p.width == min_valid_width(h, alpha, sizes, mode), where
+            assert p.width == max(p.part_widths), where
 
 
 class TestFloydWarshall:

@@ -19,12 +19,13 @@ from ajar import (
     run,
     transitive_closure,
 )
-from ajar.ghd import cost_edges_for, is_compatible, is_ghd, optimal_ghd
+from ajar.ghd import cost_edges_for, is_compatible, is_ghd, is_valid, optimal_ghd
 from ajar.lp import fractional_cover_value
 from ajar.oracle import RandomInstanceSpec, floyd_warshall
+from ajar.ordering import compute_prec
 from ajar.ordering import test_equivalence as is_equivalent
 from ajar.ordering import test_equivalence_product as is_equivalent_product
-from conftest import ordering
+from conftest import ordering, random_query
 
 
 class TestPlan:
@@ -32,7 +33,8 @@ class TestPlan:
         p = plan(chain_h, ordering(("B", "sum"), ("C", "sum")))
         assert p.width == 1
         bags = sorted(sorted(b) for b in p.ghd.chi.values())
-        assert bags == [["A"], ["A", "B"], ["B", "C"]]
+        # the output part's bag {A} folds into its only child {A,B}
+        assert bags == [["A", "B"], ["B", "C"]]
 
     def test_no_output_triangle_has_no_empty_root(self):
         h = Hypergraph.build([("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))])
@@ -44,17 +46,37 @@ class TestPlan:
 
     def test_no_output_parts_hang_below_the_first(self):
         # two components and no output: the second part's root hangs below
-        # the first's instead of both below an empty bag
+        # the first's instead of both below an empty bag; each part's {A}
+        # and {C} bag folds into its only child first
         h = Hypergraph.build([("R", ("A", "B")), ("S", ("C", "D"))])
         p = plan(h, ordering(("A", "sum"), ("B", "max"), ("C", "sum"), ("D", "max")))
         g = p.ghd
-        assert all(g.chi.values())
-        assert g.chi[g.root] == frozenset("A")
-        (c_root,) = [t for t, bag in g.chi.items() if bag == frozenset("C")]
-        assert g.parent[c_root] == g.root
+        (cd,) = [t for t in g.chi if t != g.root]
+        assert g.chi == {g.root: frozenset("AB"), cd: frozenset("CD")}
+        assert g.parent == {g.root: None, cd: g.root}
+        assert p.part_widths == [0, 1, 1, 1, 1]
         sr = get_semiring("qplus")
         inst = RandomInstanceSpec(semiring_name="qplus", seed=4).instance(h)
         assert run(p, inst, None, sr) == naive_eval(h, p.alpha, inst, None, sr)
+
+    def test_closure_squaring_plan_is_one_bag(self):
+        # the output part's {X,Y} folds into its only child: one bag join
+        h = Hypergraph.build([("L1", ("X", "M")), ("L2", ("M", "Y"))])
+        p = plan(h, ordering(("M", "min")))
+        assert p.ghd.chi == {p.ghd.root: frozenset("XMY")}
+        assert p.ghd.parent == {p.ghd.root: None}
+        assert p.width == 2 and p.part_widths == [2, 2]
+
+    def test_path4_plan_has_three_bags(self):
+        # the output root {A1,A5} folds into the bag below it
+        h = Hypergraph.build([(f"E{i}", (f"A{i}", f"A{i + 1}")) for i in range(1, 5)])
+        p = plan(h, ordering(("A2", "sum"), ("A3", "sum"), ("A4", "sum")))
+        g = p.ghd
+        assert sorted(sorted(b) for b in g.chi.values()) == [
+            ["A1", "A2", "A3"], ["A1", "A3", "A4"], ["A1", "A4", "A5"]
+        ]
+        assert g.chi[g.root] == frozenset({"A1", "A4", "A5"})
+        assert p.width == 2 and p.part_widths == [2, 2]
 
     def test_star_five_parts_width_one(self):
         star = Hypergraph.build([(f"E{i}", ("A", f"B{i}")) for i in range(1, 5)])
@@ -102,7 +124,7 @@ class TestPlan:
         payload = p.to_dict()
         assert payload["width"] == 1
         assert payload["mode"] == "unit"
-        assert len(payload["nodes"]) == 3
+        assert len(payload["nodes"]) == 2
         assert payload["ordering"] == [["B", "sum"], ["C", "sum"]]
 
     def test_plan_deterministic(self):
@@ -156,6 +178,26 @@ class TestPlan:
                     for bag in g.chi.values()
                 )
                 assert got == want, (trial, alpha.items, edges)
+
+
+class TestContraction:
+    def test_contracted_plans_stay_valid_and_exact(self):
+        # contraction merges stitched bags across parts; every plan must
+        # stay a valid GHD compatible with its ordering and give the naive
+        # answer
+        sr = get_semiring("qplus")
+        rng = random.Random(83)
+        for trial in range(300):
+            h, alpha = random_query(rng, ops=("sum", "max"), max_edges=4)
+            p = plan(h, alpha)
+            where = (trial, alpha.items, h.edges)
+            assert is_ghd(h, p.ghd), where
+            assert is_compatible(p.ghd, p.beta), where
+            assert is_valid(h, compute_prec(h, p.alpha), p.ghd), where
+            inst = RandomInstanceSpec(
+                semiring_name="qplus", domain_size=2, density=0.7, seed=9000 + trial
+            ).instance(h)
+            assert run(p, inst, None, sr) == naive_eval(h, alpha, inst, None, sr), where
 
 
 class TestRun:

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -29,6 +30,18 @@ def test_minplus_zero_is_sentinel_infinity():
     assert sr.multiply(INF, 3) is INF
     assert sr.additive("min")(INF, 7) == 7
     assert INF > 10**12 and not INF < 5
+
+
+def test_minplus_runs_on_builtins():
+    # INF absorbs + from either side, so min-plus's ⊗ and ⊕ are + and min
+    sr = get_semiring("minplus")
+    assert sr.multiply is operator.add
+    assert sr.additive("min") is min
+    assert 3 + INF is INF and INF + 3 is INF and -4 + INF is INF
+    assert INF + INF is INF
+    assert min(INF, 3) == 3 and min(3, INF) == 3
+    assert min(INF, INF) is INF
+    check_laws(sr, random.Random(5), triples=300)
 
 
 def test_annotation_parsing():
