@@ -16,9 +16,10 @@ every bag holds an output, every bag is built whole.  A full join is
 
 Annotations are multiplied exactly once per output tuple: a relation enters
 with its true annotations only at the topmost bag containing all of its
-attributes; every other bag sees a projection with annotations replaced by
-the semiring one, which only filters.  With an ``ExecStats``, every
-multiplication is counted, including those inside ``join`` and the folds.
+attributes; every bag no message from its subtree already constrains sees a
+projection with annotations replaced by the semiring one, which only
+filters.  With an ``ExecStats``, every multiplication is counted, including
+those inside ``join`` and the folds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import repeat
 from operator import and_
-from typing import Mapping, Optional
+from typing import Container, Mapping, Optional
 
 from .errors import InternalError, QueryError
 from .ghd import Aghd, Ghd, is_compatible, is_ghd, top_map
@@ -106,13 +107,17 @@ def generic_join(
     expanded last, outermost first, and each level folds what the levels below
     it return, so the joined tuples are never stored.  The other attributes
     come first, cheapest candidate sets first, and form the output schema.
-    ``sum``/``max``/``min`` fold with the semiring's additive operator; on the
-    last level that is one ``reduce`` over the leaf products, with no Python
-    frame per tuple for built-in operators.  ``prod`` keeps a group only if
+    ``sum``/``max``/``min`` fold with one ``reduce`` of the semiring's
+    additive operator per level visit.  On the last level it runs over the
+    leaf products inside the loop of the level above, with no Python frame
+    per tuple for built-in operators; which weighted tries reach that level
+    is fixed once per call.  The last free level stores what the levels
+    below it return, without a call per value.  ``prod`` keeps a group only if
     its nonzero values cover the attribute's whole domain, as
     ``product_aggregate`` does.  An atom whose annotations are all one only
     filters: it never enters a multiplication.  Like a trie, that check is
-    made once per tuple map.
+    made once per tuple map, and the count of distinct values that orders
+    the free attributes once per tuple map and column.
     """
     fold = fold or AggregationOrdering(())
     steps = []  # per fold level: (additive operator, None) or (None, domain)
@@ -145,8 +150,13 @@ def generic_join(
         return AnnotatedRelation((), {(): semiring.one})
 
     # Output attributes first, cheapest candidate sets first; folds last.
+    distinct: dict = {}  # (id of a tuple map, column) -> its number of values
+
     def candidate_estimate(attr: str) -> int:
-        return min(len(rel.distinct(attr)) for rel in rels if attr in rel.schema)
+        keys = {(id(r.tuples), r.schema.index(attr)): r for r in rels if attr in r.schema}
+        for key in keys.keys() - distinct.keys():
+            distinct[key] = len(keys[key].distinct(attr))
+        return min(distinct[key] for key in keys)
 
     free = sorted(h.vertices - fold.attrs(), key=lambda a: (candidate_estimate(a), a))
     if any(not rel.tuples for rel in rels):
@@ -177,11 +187,15 @@ def generic_join(
         tries.append(shared[key])
     # per level, the tries that hold its attribute (every attribute has one)
     active = [[i for i, rel in enumerate(rels) if attr in rel.schema] for attr in order]
-    weighted = [i for i, rel in enumerate(rels) if weighty[id(rel.tuples)]]
     bottom = len(order) - 1
-    # the last level folds additively: no frame per tuple below it
+    width = len(free)
+    # the last level folds additively: it runs inside the loop of the level above
     add_last = steps[-1][0] if fold.items and steps[-1][1] is None else None
-    live = set(active[bottom])  # the tries whose leaf dicts reach the last level
+    # the last level's factors: weighted tries whose leaf dicts reach it, then
+    # weighted tries that ended above it with one annotation
+    weighted = [i for i, rel in enumerate(rels) if weighty[id(rel.tuples)]]
+    deep = [i for i in weighted if i in active[bottom]]
+    ended = [i for i in weighted if i not in active[bottom]]
 
     def hits(level: int, nodes: list):
         """The values every active trie holds at this level.  ``&`` of two
@@ -193,48 +207,46 @@ def generic_join(
             return nodes[act[0]].keys() & nodes[act[1]].keys()
         return reduce(and_, sorted([nodes[i].keys() for i in act], key=len))
 
-    def leaf(level: int, nodes: list):
-        """The product of the weighted annotations below nodes."""
-        if not weighted:
-            return one
-        annotation = nodes[weighted[0]]
-        for i in weighted[1:]:
-            annotation = mul(annotation, nodes[i])
-        return annotation
+    def products(nodes: list, values):
+        """The product of the weighted annotations for each value of the last
+        level, in the order of values, as ``map``s: no frame per tuple."""
+        out = None
+        for i in deep:
+            factor = map(nodes[i].__getitem__, values)
+            out = factor if out is None else map(mul, out, factor)
+        for i in ended:
+            factor = repeat(nodes[i], len(values))
+            out = factor if out is None else map(mul, out, factor)
+        return repeat(one, len(values)) if out is None else out
 
-    def last_fold(level: int, nodes: list):
-        """``leaf`` for each value of the last level, folded by ``add_last``.
-        A trie that ended above the level contributes its annotation to every
-        product, multiplied in per value as ``leaf`` would."""
+    def below(level: int, nodes: list):
+        """The values of level, and the fold of the levels under each."""
         values = hits(level, nodes)
-        n = len(values)
-        if not weighted:
-            return reduce(add_last, repeat(one, n), zero)
-        factors = [
-            map(nodes[i].__getitem__, values) if i in live else repeat(nodes[i], n)
-            for i in weighted
-        ]
-        products = factors[0]
-        for factor in factors[1:]:
-            products = map(mul, products, factor)
-        return reduce(add_last, products, zero)
+        if level == bottom:
+            return values, products(nodes, values)
+        act = active[level]
+        child = nodes.copy()
+        lams = []
+        reduce_next = level + 1 == bottom and add_last is not None
+        for value in values:
+            for i in act:
+                child[i] = nodes[i][value]
+            if reduce_next:
+                lams.append(reduce(add_last, products(child, hits(bottom, child)), zero))
+            else:
+                lams.append(folded(level + 1, child))
+        return values, lams
 
     def folded(level: int, nodes: list):
         """The fold over order[level:] of the leaf products below nodes."""
-        add, domain = steps[level - len(free)]
-        act = active[level]
-        descend = fold_at[level + 1]
-        child = nodes.copy()
+        add, domain = steps[level - width]
+        values, lams = below(level, nodes)
+        if domain is None:  # zero is the identity of every additive operator
+            return reduce(add, lams, zero)
         acc = None
         seen = 0
-        for value in hits(level, nodes):
-            for i in act:
-                child[i] = nodes[i][value]
-            lam = descend(level + 1, child)
+        for value, lam in zip(values, lams):
             if lam == zero:
-                continue
-            if domain is None:
-                acc = lam if acc is None else add(acc, lam)
                 continue
             if value not in domain:
                 raise InternalError(
@@ -242,23 +254,20 @@ def generic_join(
                 )
             seen += 1
             acc = lam if acc is None else mul(acc, lam)
-        if acc is None or (domain is not None and seen != len(domain)):
+        if acc is None or seen != len(domain):
             return zero
         return acc
 
-    # per level from len(free) on: what folds order[level:]
-    fold_at = [folded] * len(order) + [leaf]
-    if add_last is not None:
-        fold_at[bottom] = last_fold
     out = AnnotatedRelation.empty(tuple(free))
     store = out.tuples
     assignment: list = []
 
     def expand(level: int, nodes: list) -> None:
-        if level == len(free):
-            annotation = fold_at[level](level, nodes)
-            if annotation != zero:
-                store[tuple(assignment)] = annotation
+        if level + 1 == width:  # the last free level stores what lies below
+            prefix = tuple(assignment)
+            for value, lam in zip(*below(level, nodes)):
+                if lam != zero:
+                    store[prefix + (value,)] = lam
             return
         act = active[level]
         child = nodes.copy()
@@ -269,7 +278,10 @@ def generic_join(
             expand(level + 1, child)
             assignment.pop()
 
-    expand(0, tries)
+    if width:
+        expand(0, tries)
+    elif (lam := folded(0, tries)) != zero:
+        store[()] = lam
     return out
 
 
@@ -356,9 +368,16 @@ def _bag_atoms(
     home: Mapping[str, int],
     relations: Mapping[str, AnnotatedRelation],
     one,
+    implied: Container[str],
 ) -> tuple[list[tuple[str, frozenset[str]]], dict[str, AnnotatedRelation]]:
     """Bag t's atoms: the relations homed at t with their true annotations,
-    and π¹ of every other relation that touches the bag."""
+    and π¹ of every other relation that touches the bag and is not implied.
+
+    R is implied when it is homed below a child c that sends t a message: by
+    running intersection R ∩ χ(t) lies in χ(c) ∩ χ(t), the message's schema,
+    and the message's support lies in π(R), since R joined below it, so π¹
+    of R could only repeat that filter.  A child in the output region sends
+    no message, and the relations homed below it keep their π¹."""
     bag = g.chi[t]
     edges = []
     local: dict[str, AnnotatedRelation] = {}
@@ -367,7 +386,7 @@ def _bag_atoms(
         if home[e.name] == t:
             local[e.name] = rel
             edges.append((e.name, e.attrs))
-        elif e.attrs & bag:
+        elif e.attrs & bag and e.name not in implied:
             local[e.name] = project_ones(rel, e.attrs & bag, one)
             edges.append((e.name, e.attrs & bag))
     return edges, local
@@ -423,9 +442,12 @@ def aggro_ghd_join(
             t = g.parent[t]
     mul = counted_semiring(semiring, stats).multiply
     built: dict[int, AnnotatedRelation] = {}  # messages, and the region's bags
+    homed: dict[int, set[str]] = {}  # the relations homed in each subtree
     for t in reversed(g.preorder()):
         bag = g.chi[t]
-        edges, local = _bag_atoms(h, g, t, home, relations, semiring.one)
+        homed[t] = {e for e, b in home.items() if b == t}.union(*(homed[c] for c in kids[t]))
+        implied = set().union(*(homed[c] for c in kids[t] if c not in region))
+        edges, local = _bag_atoms(h, g, t, home, relations, semiring.one, implied)
         scalar = None
         for c in kids[t]:
             if c in region:

@@ -65,11 +65,12 @@ def slope(points):
 
 def materializing_join(h, g, alpha, relations, semiring, domains=None, stats=None):
     """The bag-materializing pipeline, whatever the plan: every bag built
-    whole by generic_join, then aggro_yannakakis over the whole tree."""
+    whole by generic_join, then aggro_yannakakis over the whole tree.  No
+    bag gets a message, so none drops a pi1 filter as implied."""
     home = execution._annotation_homes(h, g)
     bags = {}
     for t in g.chi:
-        edges, local = execution._bag_atoms(h, g, t, home, relations, semiring.one)
+        edges, local = execution._bag_atoms(h, g, t, home, relations, semiring.one, ())
         bags[t] = generic_join(Hypergraph.build(edges), local, semiring, stats)
         if stats:
             stats.record_bag(f"bag{t}", sum(map(len, local.values())), len(bags[t]))
@@ -219,6 +220,87 @@ class TestGenericJoin:
             got = generic_join(h, rels, sr, stats, fold)
             assert got == execution._fold_ordering(joined, fold, base, None)
             assert stats.multiplications == len(calls) == 3 * len(joined)
+
+    @pytest.mark.parametrize("data, atoms, fold", [
+        # the last level (the last fold, or the last free attribute) with one,
+        # two, three and four active tries
+        ("int", [("R", "AB")], [("B", "sum")]),
+        ("int", [("R", "AB"), ("S", "BC")], [("B", "sum")]),
+        ("qplus", [("R", "AB"), ("S", "BC"), ("T", "BD")], [("D", "max"), ("B", "sum")]),
+        ("minplus", [("R", "AB"), ("S", "BC"), ("T", "BD"), ("U", "B")], [("B", "min")]),
+        # weighted tries that end above the last level
+        ("int", [("R", "AB"), ("S", "AC")], [("C", "sum")]),
+        ("qplus", [("R", "A"), ("S", "AB"), ("T", "BC")], [("B", "sum"), ("C", "max")]),
+        # all-one atoms only
+        ("int1", [("R", "AB"), ("S", "BC"), ("T", "AC")], [("C", "sum")]),
+        # a prod last level, below an additive one
+        ("bool01", [("R", "AB"), ("S", "BC")], [("A", "max"), ("B", PRODUCT)]),
+        ("bool01", [("R", "AB"), ("S", "BC")], [("C", PRODUCT)]),
+        # no free attributes, and no folds at all
+        ("int", [("R", "AB"), ("S", "BC"), ("T", "AC")],
+         [("A", "sum"), ("B", "sum"), ("C", "sum")]),
+        ("qplus", [("R", "AB"), ("S", "BC")], []),
+        # empty intersections: R's B values and S's never meet
+        ("int-split", [("R", "AB"), ("S", "BC")], [("B", "sum"), ("A", "sum")]),
+    ])
+    def test_last_level_shapes(self, data, atoms, fold):
+        # each shape of the last level against folding the whole join, over
+        # sparse seeded data; every multiply call is counted in ExecStats
+        name, weights = {
+            "int": ("int", [-2, -1, 1, 2, 3]), "int-split": ("int", [-2, -1, 1, 2, 3]),
+            "int1": ("int", [1]), "qplus": ("qplus", [Fraction(1, 2), 1, 3]),
+            "minplus": ("minplus", [0, 2, 5]), "bool01": ("bool01", [1]),
+        }[data]
+        calls = []
+        base = get_semiring(name)
+
+        def multiply(a, b):
+            calls.append(1)
+            return base.multiply(a, b)
+
+        sr = dataclasses.replace(base, multiply=multiply)
+        disjoint = data == "int-split"
+        h = Hypergraph.build([(rel, tuple(attrs)) for rel, attrs in atoms])
+        alpha = ordering(*fold)
+        for seed in range(6):
+            rng = random.Random(seed)
+            rels = {}
+            for rel, attrs in atoms:
+                rows = itertools.product(range(4), repeat=len(attrs))
+                if disjoint:  # B < 2 in R, B >= 2 in S
+                    rows = [row for row in rows if (row[attrs.index("B")] < 2) == (rel == "R")]
+                tuples = {row: rng.choice(weights) for row in rows if rng.random() < 0.6}
+                rels[rel] = AnnotatedRelation(tuple(attrs), tuples)
+            doms = DomainRegistry.from_declarations({}, rels)
+            calls.clear()
+            stats = ExecStats()
+            got = generic_join(h, rels, sr, stats, alpha, doms)
+            joined = join(rels.values(), base)
+            assert got == execution._fold_ordering(joined, alpha, base, doms), (atoms, seed)
+            assert stats.multiplications == len(calls), (atoms, seed)
+            if disjoint:
+                assert not got
+
+    def test_distinct_counted_once_per_column(self, int_sr, monkeypatch):
+        # a triangle over one tuple map orders its attributes by two scans,
+        # one per column, not one per atom and attribute
+        scans = []
+        original = AnnotatedRelation.distinct
+
+        def distinct(rel, attr):
+            scans.append(attr)
+            return original(rel, attr)
+
+        monkeypatch.setattr(AnnotatedRelation, "distinct", distinct)
+        tuples = {(i, (3 * i + j) % 20): 1 for i in range(20) for j in range(4)}
+        atoms = [("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))]
+        rels = {}
+        for name, attrs in atoms:
+            rels[name] = AnnotatedRelation.empty(attrs)
+            rels[name].tuples = tuples
+        h = Hypergraph.build(atoms)
+        assert generic_join(h, rels, int_sr) == join(rels.values(), int_sr)
+        assert len(scans) == 2
 
     def test_product_fold_rejects_value_outside_domain(self):
         sr = get_semiring("bool01")
@@ -541,6 +623,56 @@ class TestAggroGhdJoin:
         assert got == naive_eval(h, alpha, inst, None, int_sr)
         assert got == materializing_join(h, p.ghd, p.beta, inst, int_sr, None, baseline)
         assert stats.intermediate_tuples < baseline.intermediate_tuples
+
+    @staticmethod
+    def bag_atoms_spy(monkeypatch):
+        """Record each bag join's atoms, keyed by the bag's attributes, as
+        (name, sorted attributes) pairs."""
+        atoms = {}
+        original = execution.generic_join
+
+        def spy(h, *args, **kwargs):
+            atoms[frozenset(h.vertices)] = {(e.name, tuple(sorted(e.attrs))) for e in h.edges}
+            return original(h, *args, **kwargs)
+
+        monkeypatch.setattr(execution, "generic_join", spy)
+        return atoms
+
+    def test_message_implied_filters_dropped(self, int_sr, monkeypatch):
+        # the path4 plan shape: bag 1 keeps pi1 of E4, homed above it, but
+        # not of E1 or E2, whose message from bag 2 already filters them;
+        # bag 0 takes E4 and its message only
+        h = Hypergraph.build([(f"E{i}", (f"A{i}", f"A{i + 1}")) for i in range(1, 5)])
+        alpha = ordering(("A2", "sum"), ("A3", "sum"), ("A4", "sum"))
+        p = plan(h, alpha)
+        assert p.ghd.chi == {
+            0: {"A1", "A4", "A5"}, 1: {"A1", "A3", "A4"}, 2: {"A1", "A2", "A3"},
+        }
+        atoms = self.bag_atoms_spy(monkeypatch)
+        inst = RandomInstanceSpec(domain_size=4, density=0.6, seed=5).instance(h)
+        stats = ExecStats()
+        assert run(p, inst, None, int_sr, stats) == naive_eval(h, alpha, inst, None, int_sr)
+        chi = p.ghd.chi
+        assert atoms[chi[2]] == {("E1", ("A1", "A2")), ("E2", ("A2", "A3")), ("E3", ("A3",))}
+        assert atoms[chi[1]] == {("E3", ("A3", "A4")), ("<bag2>", ("A1", "A3")), ("E4", ("A4",))}
+        assert atoms[chi[0]] == {("E4", ("A4", "A5")), ("<bag1>", ("A1", "A4"))}
+        message, filter_e4 = stats.bag_output_tuples["bag2"], len(inst["E4"].distinct("A4"))
+        assert stats.bag_input_tuples["bag1"] == len(inst["E3"]) + message + filter_e4
+
+    def test_region_child_keeps_filters(self, int_sr, monkeypatch):
+        # outputs A, B, C reach bag 1, so bag 1 sends no message: the root
+        # keeps pi1 of S, homed at bag 1, while bag 1 keeps pi1 of R, homed
+        # above it, and drops pi1 of T, homed at bag 2, whose message is on C
+        h = Hypergraph.build([("R", ("A", "B")), ("S", ("B", "C")), ("T", ("C", "D"))])
+        g = Ghd.chain([("A", "B"), ("B", "C"), ("C", "D")])
+        alpha = ordering(("D", "sum"))
+        atoms = self.bag_atoms_spy(monkeypatch)
+        for seed in range(4):
+            inst = RandomInstanceSpec(domain_size=4, density=0.5, seed=seed).instance(h)
+            got = aggro_ghd_join(h, g, alpha, inst, int_sr)
+            assert got == naive_eval(h, alpha, inst, None, int_sr)
+            assert atoms[g.chi[0]] == {("R", ("A", "B")), ("S", ("B",))}
+            assert atoms[g.chi[1]] == {("S", ("B", "C")), ("R", ("B",)), ("<bag2>", ("C",))}
 
     def test_every_multiplication_counted(self):
         # ExecStats counts each call of the semiring's multiply: in the bag
