@@ -120,6 +120,19 @@ def load_query_data(
     return out
 
 
+def _read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object a file holds; bad JSON is a QueryError naming the
+    file and line."""
+    try:
+        with Path(path).open() as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise QueryError(f"{path}:{exc.lineno}: bad JSON: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise QueryError(f"{path}: {what} file must be a JSON object")
+    return raw
+
+
 def load_domains_json(
     path: Optional[str | Path],
     relations: Mapping[str, AnnotatedRelation],
@@ -127,11 +140,7 @@ def load_domains_json(
     """Map attribute -> explicit value list or "active"; default active."""
     declarations = {}
     if path is not None:
-        with Path(path).open() as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise QueryError("domains file must be a JSON object")
-        for attr, decl in raw.items():
+        for attr, decl in _read_json_object(path, "domains").items():
             if decl == "active":
                 declarations[attr] = "active"
             elif isinstance(decl, list):
@@ -143,12 +152,8 @@ def load_domains_json(
 
 def load_stats_json(path: str | Path) -> dict[str, int]:
     """Map relation name -> cardinality."""
-    with Path(path).open() as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise QueryError("stats file must be a JSON object")
     sizes = {}
-    for name, value in raw.items():
+    for name, value in _read_json_object(path, "stats").items():
         if not isinstance(value, int) or value <= 0:
             raise QueryError(f"size for {name!r} must be a positive integer")
         sizes[name] = value

@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import InternalError, QueryError
-from .hypergraph import Edge, Hypergraph, connected_components, find_path
+from .hypergraph import Edge, Hypergraph, connected_components
 from .lp import fractional_cover_value
-from .ordering import AggregationOrdering, PrecedenceRelation, compute_prec
+from .ordering import AggregationOrdering, PrecedenceRelation, commute_block
 from .semirings import PRODUCT, log_cost
 
 
@@ -65,14 +65,6 @@ class Ghd:
         for t in self.preorder()[1:]:
             depth[t] = depth[self.parent[t]] + 1
         return depth
-
-    def is_strict_ancestor(self, a: int, b: int) -> bool:
-        t = self.parent[b]
-        while t is not None:
-            if t == a:
-                return True
-            t = self.parent[t]
-        return False
 
     def regions(self, nodes: Iterable[int]) -> list[set[int]]:
         """Split nodes into maximal tree-connected regions, in preorder of
@@ -223,47 +215,35 @@ class Aghd:
     original: dict[str, str]  # renamed attr -> original attr
 
 
-def top_sets(g: Ghd | Aghd) -> tuple[Ghd, dict[str, set[int]]]:
-    """The tree of g and each attribute's TOP nodes: one per attribute, or in
-    an AGHD one per copy of a product attribute, under the original name."""
+def tops_above(g: Ghd | Aghd) -> set[tuple[str, str]]:
+    """Pairs (a, b) of attributes where a TOP node of a lies strictly above a
+    TOP node of b.  In an AGHD each copy of a product attribute has its own
+    TOP node and counts under the original name."""
     tree, original = (g.tree, g.original) if isinstance(g, Aghd) else (g, {})
-    tops: dict[str, set[int]] = {}
+    topped: dict[int, set[str]] = {}
     for attr, node in top_map(tree).items():
-        tops.setdefault(original.get(attr, attr), set()).add(node)
-    return tree, tops
+        topped.setdefault(node, set()).add(original.get(attr, attr))
+    above: set[tuple[str, str]] = set()
+    for node, below in topped.items():
+        t = tree.parent[node]
+        while t is not None:
+            above.update((a, b) for a in topped.get(t, ()) for b in below if a != b)
+            t = tree.parent[t]
+    return above
 
 
 def is_compatible(g: Ghd | Aghd, beta: AggregationOrdering) -> bool:
     """No attribute may sit above a non-output attribute that precedes it."""
-    tree, tops = top_sets(g)
-    outputs = frozenset(tops) - beta.attrs()
     order = {a: i for i, (a, _) in enumerate(beta.items)}
-    attrs = sorted(tops)
-    for a in attrs:
-        for b in attrs:
-            if a == b:
-                continue
-            above = any(
-                tree.is_strict_ancestor(ta, tb) for ta in tops[a] for tb in tops[b]
-            )
-            if not above:
-                continue
-            if a in outputs:
-                continue
-            if b in outputs or order[a] > order[b]:
-                return False
-    return True
+    return all(
+        a not in order or (b in order and order[a] < order[b]) for a, b in tops_above(g)
+    )
 
 
 def is_valid(h: Hypergraph, prec: PrecedenceRelation, g: Ghd) -> bool:
-    """Compatible with at least one equivalent ordering (product-free)."""
-    tops = top_map(g)
-    attrs = sorted(tops)
-    for a in attrs:
-        for b in attrs:
-            if a != b and g.is_strict_ancestor(tops[a], tops[b]) and prec.before(b, a):
-                return False
-    return True
+    """Compatible with at least one equivalent ordering (product-free): no
+    attribute sits above one that precedes it in prec's extended order."""
+    return not any(prec.before(b, a) for a, b in tops_above(g))
 
 
 @dataclass(frozen=True)
@@ -334,43 +314,14 @@ class Part:
         return out
 
 
-def _front_set(
-    h: Hypergraph,
-    alpha: AggregationOrdering,
-    alpha_c: AggregationOrdering,
-    component: frozenset[str],
-    products: bool,
-) -> frozenset[str]:
-    """Attributes removable up front: the no-predecessor set, or for product
-    orderings the single-product / commutable-to-front conditional."""
-    if not products:
-        prec = compute_prec(h, alpha)
-        return frozenset(
-            v
-            for v in component
-            if not any((w, v) in prec.prec for w in component)
-        )
+def _front_set(h: Hypergraph, alpha_c: AggregationOrdering) -> frozenset[str]:
+    """Attributes removable up front: those the equivalence test's commute
+    check lets reach the front of alpha_c, except that a leading product
+    attribute goes alone."""
     items = alpha_c.items
-    if not items:
-        return frozenset()
-    if items[0][1] == PRODUCT:
+    if items and items[0][1] == PRODUCT:
         return frozenset((items[0][0],))
-    front = set()
-    for j, (attr_j, op_j) in enumerate(items):
-        ok = True
-        for i in range(j):
-            attr_i, op_i = items[i]
-            if op_i == op_j:
-                continue
-            suffix = items[i:]
-            prods = {a for a, op in suffix if op == PRODUCT}
-            allowed = ({a for a, _ in suffix} - prods) | {attr_i, attr_j}
-            if find_path(h, attr_j, attr_i, allowed) is not None:
-                ok = False
-                break
-        if ok:
-            front.add(attr_j)
-    return frozenset(front)
+    return frozenset(a for j, (a, _) in enumerate(items) if commute_block(h, items, j) is None)
 
 
 def characteristic_tree(
@@ -384,8 +335,10 @@ def characteristic_tree(
     The root part covers the output attributes; one child subtree per
     connected component of the query minus outputs (and minus product
     attributes in the product variant, components then absorbing adjacent
-    product attributes).  Intersection edges are added so arbitrary GHDs of
-    the parts can be stitched back together.
+    product attributes).  Each child drops its component's front set, the
+    attributes the equivalence test's commute check lets reach the front of
+    the component's ordering.  Intersection edges are added so arbitrary GHDs
+    of the parts can be stitched back together.
     """
     if _names is None:
         _names = itertools.count()
@@ -402,7 +355,7 @@ def characteristic_tree(
         interface = outputs & c_pp
         c_plus = comp | (prod_attrs & c_pp)
         alpha_c = alpha.restrict(c_plus)
-        front = _front_set(h, alpha, alpha_c, comp, products)
+        front = _front_set(h, alpha_c)
         sub_alpha = alpha_c.without(front)
         sub_edges = [(e.name, e.attrs) for e in e_c]
         if interface:

@@ -111,6 +111,26 @@ def _precheck(
     return None
 
 
+def commute_block(
+    h: Hypergraph, items: tuple[tuple[str, str], ...], j: int
+) -> Optional[tuple[str, ...]]:
+    """The path that keeps items[j] from commuting to the front, or None.
+
+    items[j] passes an earlier items[i] with its own operator freely; past
+    one with another operator it may not go while a path joins the two
+    through items[i:], product attributes other than the two left out.
+    """
+    attr_j, op_j = items[j]
+    for i, (attr_i, op_i) in enumerate(items[:j]):
+        if op_i == op_j:
+            continue
+        allowed = {a for a, op in items[i:] if op != PRODUCT} | {attr_i, attr_j}
+        path = find_path(h, attr_i, attr_j, allowed)
+        if path is not None:
+            return path
+    return None
+
+
 def _test_recursive(
     h: Hypergraph,
     alpha: AggregationOrdering,
@@ -133,19 +153,10 @@ def _test_recursive(
             if bad is not None:
                 return bad
         return None
-    head_attr, head_op = alpha[0]
-    j = beta.position(head_attr)
-    for i in range(j):
-        b_i, op_i = beta[i]
-        if op_i == head_op:
-            continue
-        # path allowed within beta's suffix starting at position i
-        allowed = {a for a, _ in beta.items[i:]}
-        if products:
-            allowed = (allowed - prod_attrs) | {b_i, head_attr}
-        path = find_path(h, b_i, head_attr, allowed)
-        if path is not None:
-            return Violation(b_i, head_attr, "blocked-path", path)
+    head_attr = alpha[0][0]
+    path = commute_block(h, beta.items, beta.position(head_attr))
+    if path is not None:
+        return Violation(path[0], head_attr, "blocked-path", path)
     return _test_recursive(h, alpha.without([head_attr]), beta.without([head_attr]), products)
 
 

@@ -21,7 +21,7 @@ from .ghd import (
     is_valid,
     optimal_ghd,
     stitch_tree,
-    top_sets,
+    tops_above,
     width,
 )
 from .hypergraph import Hypergraph
@@ -123,22 +123,13 @@ def _compatible_ordering(
     tree: Ghd | Aghd, alpha: AggregationOrdering
 ) -> AggregationOrdering:
     """Topological order of TOP nodes, ties broken by alpha's order."""
-    g, tops = top_sets(tree)
+    above = tops_above(tree)
     pending = list(alpha.attr_list())
     ordered: list[tuple[str, str]] = []
     while pending:
-        chosen = None
-        for a in pending:  # alpha order is the tie-break
-            blocked = any(
-                b != a
-                and any(
-                    g.is_strict_ancestor(tb, ta) for tb in tops[b] for ta in tops[a]
-                )
-                for b in pending
-            )
-            if not blocked:
-                chosen = a
-                break
+        chosen = next(
+            (a for a in pending if not any((b, a) in above for b in pending)), None
+        )
         if chosen is None:
             raise InternalError("cyclic TOP-node order; decomposition is broken")
         pending.remove(chosen)
@@ -151,7 +142,6 @@ def plan(
     alpha: AggregationOrdering,
     sizes: Optional[dict[str, int]] = None,
     mode: str = "unit",
-    cap: int = 12,
 ) -> Plan:
     """Optimal GHD per characteristic hypergraph, stitched, with a derived
     compatible ordering."""
@@ -169,7 +159,7 @@ def plan(
     # bags are priced against the real relations, never interface edges
     cost = cost_edges_for(h, sizes, mode)
     part_ghds = [
-        optimal_ghd(part.hypergraph, sizes=None, mode=mode, cap=cap, cost_edges=cost)
+        optimal_ghd(part.hypergraph, sizes=None, mode=mode, cost_edges=cost)
         for part in parts
     ]
     stitched = stitch_tree(tree, part_ghds)

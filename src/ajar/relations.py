@@ -110,23 +110,19 @@ class DomainRegistry:
         cls,
         declarations: Mapping[str, Any],
         relations: Mapping[str, AnnotatedRelation] | None = None,
-        schemas: Mapping[str, tuple[str, ...]] | None = None,
     ) -> "DomainRegistry":
         """Build domains from explicit lists plus active domains for the rest.
 
         declarations maps attribute -> list of values or the string "active".
         Attributes not declared default to active.  Active domains collect all
-        values appearing for that attribute across the given relations (keyed
-        by edge name, with schemas giving the per-edge attribute lists).
+        values appearing for that attribute across the given relations.
         """
         active: dict[str, set] = {}
-        if relations:
-            for name, rel in relations.items():
-                schema = schemas[name] if schemas else rel.schema
-                for pos, attr in enumerate(schema):
-                    bucket = active.setdefault(attr, set())
-                    for row in rel.tuples:
-                        bucket.add(row[pos])
+        for rel in (relations or {}).values():
+            for pos, attr in enumerate(rel.schema):
+                bucket = active.setdefault(attr, set())
+                for row in rel.tuples:
+                    bucket.add(row[pos])
         resolved: dict[str, frozenset] = {}
         for attr, decl in declarations.items():
             if decl == "active":

@@ -13,9 +13,11 @@ from ajar import (
     QueryError,
     characteristic_hypergraphs,
     compute_prec,
+    connected_components,
     is_compatible,
     is_ghd,
     is_valid,
+    linear_extensions,
     normalize_decomposable,
     optimal_ghd,
     product_partition_hypergraph,
@@ -24,6 +26,7 @@ from ajar import (
     width,
 )
 from ajar.ghd import (
+    _front_set,
     aghd_from_stitched,
     characteristic_tree,
     cost_edges_for,
@@ -34,7 +37,7 @@ from ajar.ghd import (
 from ajar.lp import fractional_cover_value
 from ajar.oracle import exhaustive_valid_ghds
 from ajar.ordering import test_equivalence as is_equivalent
-from conftest import ordering
+from conftest import ordering, random_query
 
 
 @pytest.fixture
@@ -121,6 +124,20 @@ class TestIsValid:
         g = Ghd.chain([("C", "D"), ("B", "D"), ("A", "B")])
         assert not is_valid(h, prec, g)  # D's top sits above A's
 
+    def test_valid_exactly_when_compatible_with_an_equivalent_ordering(self):
+        # every distinct-bag GHD of each body, valid or not for its ordering
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(20):
+            h, alpha = random_query(rng, max_attrs=4)
+            prec = compute_prec(h, alpha)
+            betas = list(linear_extensions(prec, alpha))
+            for g in exhaustive_valid_ghds(h, ordering()):
+                valid = is_valid(h, prec, g)
+                assert valid == any(is_compatible(g, beta) for beta in betas), (h, alpha, g)
+                outcomes.add(valid)
+        assert outcomes == {True, False}
+
 
 class TestWidth:
     def test_two_bag_chain_width_one(self, chain_h):
@@ -171,6 +188,18 @@ class TestCharacteristicHypergraphs:
         alpha = ordering(("B", "sum"), ("C", "sum"))
         parts = characteristic_hypergraphs(chain_h, alpha)
         assert [sorted(p.vertices) for p in parts] == [["A"], ["A", "B", "C"]]
+
+    def test_front_set_is_the_prec_minimal_set(self):
+        # the commute check lets exactly the attributes with no PREC
+        # predecessor in their component reach its front
+        rng = random.Random(8)
+        for _ in range(1000):
+            h, alpha = random_query(rng)
+            prec = compute_prec(h, alpha)
+            for comp in connected_components(h, h.vertices - alpha.attrs()):
+                preds = prec.predecessors_in(comp)
+                expected = {v for v in comp if not preds[v]}
+                assert _front_set(h, alpha.restrict(comp)) == expected, (h, alpha, comp)
 
     def test_empty_ordering_returns_whole_hypergraph(self, chain_h):
         parts = characteristic_hypergraphs(chain_h, ordering())

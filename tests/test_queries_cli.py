@@ -330,6 +330,48 @@ class TestCli:
         assert f"{relation}:3: bad annotation" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command,culprit",
+        [
+            (["run", "{dir}/missing.aj", "--data", "{dir}/data"], "{dir}/missing.aj"),
+            (["equiv", "{dir}/missing.aj", "--ordering", "B"], "{dir}/missing.aj"),
+            (["closure", "{dir}/missing.csv"], "{dir}/missing.csv"),
+            (["closure", "{dir}/data"], "{dir}/data"),
+            (
+                ["run", "{dir}/q.aj", "--data", "{dir}/data", "--domains", "{dir}/d.json"],
+                "{dir}/d.json",
+            ),
+            (["plan", "{dir}/q.aj", "--stats", "{dir}/s.json"], "{dir}/s.json"),
+        ],
+        ids=["run", "equiv", "closure", "closure-directory", "domains", "stats"],
+    )
+    def test_unreadable_file_exit_code(self, worked_example_dir, capsys, command, culprit):
+        argv = [arg.format(dir=worked_example_dir) for arg in command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {culprit.format(dir=worked_example_dir)}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--domains", "--stats"])
+    def test_malformed_json_exit_code(self, worked_example_dir, capsys, flag):
+        bad = worked_example_dir / "bad.json"
+        bad.write_text("\n{bad")
+        command = "run" if flag == "--domains" else "plan"
+        argv = [command, str(worked_example_dir / "q.aj"), flag, str(bad)]
+        if command == "run":
+            argv += ["--data", str(worked_example_dir / "data")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:2: bad JSON: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("loader", [load_stats_json, lambda path: load_domains_json(path, {})])
+    def test_json_must_be_an_object(self, tmp_path, loader):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(QueryError, match="must be a JSON object"):
+            loader(path)
+
     def test_selftest_smoke(self, capsys):
         assert main(["selftest", "--trials", "120", "--seed", "3"]) == 0
         assert "all ok" in capsys.readouterr().out
