@@ -14,6 +14,7 @@ from .dataio import (
     load_query_data,
     load_relation_csv,
     load_stats_json,
+    read_text,
     write_relation_csv,
 )
 from .errors import AjarError, InternalError, QueryError
@@ -29,7 +30,7 @@ from .semirings import builtin_semirings, check_laws, get_semiring
 
 
 def _read_query(path: str):
-    return parse_query(Path(path).read_text())
+    return parse_query(read_text(path))
 
 
 def _query_semiring(query, override=None):
@@ -67,7 +68,9 @@ def cmd_run(args) -> int:
     if args.domains or query.ordering.has_products():
         domains = load_domains_json(args.domains, relations)
     stats = ExecStats() if args.explain else None
-    query_plan = build_plan(query.hypergraph, query.ordering)
+    # data mode prices bags by the cardinalities just loaded
+    sizes = {edge: len(rel) for edge, rel in relations.items()} if args.mode == "data" else None
+    query_plan = build_plan(query.hypergraph, query.ordering, sizes=sizes, mode=args.mode)
     result = run_plan(query_plan, relations, domains, semiring, stats)
     result = result.reorder(query.head_attrs)
     if args.out:
@@ -196,6 +199,7 @@ def main(argv=None) -> int:
     p.add_argument("query")
     p.add_argument("--data", required=True)
     p.add_argument("--domains", default=None)
+    p.add_argument("--mode", choices=("unit", "data"), default="unit")
     p.add_argument("--out", default=None)
     p.add_argument("--explain", action="store_true")
     p.set_defaults(func=cmd_run)

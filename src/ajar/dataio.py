@@ -1,9 +1,15 @@
-"""CSV relation files, domain declarations, statistics, and plan export."""
+"""CSV relation files, domain declarations, statistics, and plan export.
+
+Every input is read as UTF-8.  Relation files are parsed a column at a time
+in bounded chunks; a row-at-a-time loop runs only to report a bad row by its
+``file:line``.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -13,6 +19,7 @@ from .relations import AnnotatedRelation, DomainRegistry
 from .semirings import SemiringSpec
 
 ANNOTATION_COLUMN = "__annotation"
+CHUNK_ROWS = 4096  # rows parsed per chunk: bounds the rows held as strings
 
 
 def parse_value(text: str):
@@ -35,19 +42,94 @@ def load_relation_csv(
 ) -> AnnotatedRelation:
     """Header row: attribute names then __annotation.
 
-    When a schema is given (per-atom renaming), columns map as
+    Rows are read in chunks of ``CHUNK_ROWS`` and parsed a column at a time:
+    ``int`` over each key column (``parse_value`` for a column where that
+    fails) and over an integer annotation column (``parse_annotation``
+    otherwise), so the cost is a Python call per chunk and column rather than
+    per cell.  A ragged row, a repeated key or an annotation that does not
+    parse sends the whole file back to the row loop, which raises the
+    ``file:line`` error.  Zero annotations are dropped after the duplicate
+    check.  When a schema is given (per-atom renaming), columns map as
     ``_atom_relation`` maps them.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    try:
+        rel = _load_columns(path, semiring)
+        if rel is None:
+            rel = _load_rows(path, semiring)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    return rel if schema is None else _atom_relation(path, rel, schema)
+
+
+def _header(path: Path, reader) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise QueryError(f"{path}: empty relation file") from None
+    header = [col.strip() for col in header]
+    if not header or header[-1] != ANNOTATION_COLUMN:
+        raise QueryError(f"{path}: last column must be {ANNOTATION_COLUMN}")
+    return header
+
+
+def _load_columns(path: Path, semiring: SemiringSpec) -> Optional[AnnotatedRelation]:
+    """The chunked column-wise load, or None where the row loop must report."""
+    tuples: dict = {}
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        header = _header(path, reader)
+        width = len(header)
+        while chunk := list(islice(reader, CHUNK_ROWS)):
+            lengths = set(map(len, chunk))
+            if lengths != {width}:
+                if not lengths <= {0, width}:
+                    return None  # a ragged row
+                chunk = list(filter(None, chunk))  # blank lines
+                if not chunk:
+                    continue
+            *keys, annotations = zip(*chunk)
+            before = len(tuples)
+            try:
+                keys = zip(*map(_parse_keys, keys)) if keys else repeat((), len(chunk))
+                tuples.update(zip(keys, _parse_annotations(semiring, annotations)))
+            except (ValueError, ArithmeticError, QueryError):
+                return None  # a bad annotation
+            if len(tuples) != before + len(chunk):
+                return None  # a repeated key
+    rel = AnnotatedRelation.empty(header[:-1])
+    zero = semiring.zero
+    rel.tuples = (
+        {key: lam for key, lam in tuples.items() if lam != zero}
+        if zero in tuples.values()
+        else tuples
+    )
+    return rel
+
+
+def _parse_keys(column: tuple[str, ...]) -> list:
+    try:
+        return list(map(int, column))
+    except ValueError:
+        return list(map(parse_value, column))
+
+
+def _parse_annotations(semiring: SemiringSpec, column: tuple[str, ...]) -> list:
+    """``int`` equals ``parse_annotation`` on every cell it accepts in these
+    domains: it strips the cell itself and never reads "inf"."""
+    if semiring.domain in ("integer", "extended-integer-with-infinity"):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise QueryError(f"{path}: empty relation file") from None
-        header = [col.strip() for col in header]
-        if not header or header[-1] != ANNOTATION_COLUMN:
-            raise QueryError(f"{path}: last column must be {ANNOTATION_COLUMN}")
+            return list(map(int, column))
+        except ValueError:
+            pass
+    return list(map(semiring.parse_annotation, column))
+
+
+def _load_rows(path: Path, semiring: SemiringSpec) -> AnnotatedRelation:
+    """The row-at-a-time load, which names the line of the first bad row."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = _header(path, reader)
         rows = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -66,8 +148,27 @@ def load_relation_csv(
                 ) from None
             except QueryError as exc:
                 raise QueryError(f"{path}:{lineno}: {exc}") from None
-    rel = AnnotatedRelation(header[:-1], rows, zero=semiring.zero)
-    return rel if schema is None else _atom_relation(path, rel, schema)
+    return AnnotatedRelation(header[:-1], rows, zero=semiring.zero)
+
+
+def _not_utf8(path: str | Path) -> QueryError:
+    """The error for a file that does not decode: its name and the offset,
+    from 0, of its first bad byte.  A text reader's own exception counts from
+    the block it was decoding, so the offset comes from the whole file."""
+    try:
+        Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return QueryError(f"{path}: not valid UTF-8 (byte {exc.start})")
+    return QueryError(f"{path}: not valid UTF-8")
+
+
+def read_text(path: str | Path) -> str:
+    """A whole text file read as UTF-8; bad bytes are a QueryError."""
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
 
 def _atom_relation(
@@ -124,8 +225,7 @@ def _read_json_object(path: str | Path, what: str) -> dict:
     """The JSON object a file holds; bad JSON is a QueryError naming the
     file and line."""
     try:
-        with Path(path).open() as fh:
-            raw = json.load(fh)
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise QueryError(f"{path}:{exc.lineno}: bad JSON: {exc.msg}") from None
     if not isinstance(raw, dict):

@@ -240,7 +240,7 @@ def is_compatible(g: Ghd | Aghd, beta: AggregationOrdering) -> bool:
     )
 
 
-def is_valid(h: Hypergraph, prec: PrecedenceRelation, g: Ghd) -> bool:
+def is_valid(prec: PrecedenceRelation, g: Ghd) -> bool:
     """Compatible with at least one equivalent ordering (product-free): no
     attribute sits above one that precedes it in prec's extended order."""
     return not any(prec.before(b, a) for a, b in tops_above(g))
@@ -662,7 +662,7 @@ def normalize_decomposable(
 ) -> Ghd:
     """Transform a valid GHD into a decomposable one, every new bag a subset
     of an old bag (so any node-monotone width is preserved)."""
-    if not is_valid(h, prec, g):
+    if not is_valid(prec, g):
         raise QueryError("normalize_decomposable requires a valid GHD")
     parent = dict(g.parent)
     chi = dict(g.chi)

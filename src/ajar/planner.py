@@ -172,7 +172,7 @@ def plan(
         raise InternalError("derived ordering is not equivalent to the query's")
     if not is_compatible(decomposition, beta):
         raise InternalError("stitched decomposition incompatible with derived ordering")
-    if not products and not is_valid(h, compute_prec(h, alpha), decomposition):
+    if not products and not is_valid(compute_prec(h, alpha), decomposition):
         raise InternalError("stitched GHD is not valid")
     if products:
         report = width(decomposition.tree, decomposition.hypergraph_p, sizes, mode)

@@ -109,20 +109,20 @@ class TestIsValid:
     def test_worked_two_bag_plan(self, chain_h):
         alpha = ordering(("B", "sum"), ("C", "sum"))
         prec = compute_prec(chain_h, alpha)
-        assert is_valid(chain_h, prec, Ghd.chain([("A", "B"), ("B", "C")]))
+        assert is_valid(prec, Ghd.chain([("A", "B"), ("B", "C")]))
 
     def test_single_bag_always_valid(self):
         h = Hypergraph.build([("R", ("A", "B")), ("S", ("B", "D")), ("T", ("C", "D"))])
         alpha = ordering(("A", "sum"), ("B", "max"), ("C", "max"), ("D", "sum"))
         prec = compute_prec(h, alpha)
-        assert is_valid(h, prec, Ghd.single(("A", "B", "C", "D")))
+        assert is_valid(prec, Ghd.single(("A", "B", "C", "D")))
 
     def test_inverted_chain_violates_precedence(self):
         h = Hypergraph.build([("R", ("A", "B")), ("S", ("B", "D")), ("T", ("C", "D"))])
         alpha = ordering(("A", "sum"), ("B", "max"), ("C", "max"), ("D", "sum"))
         prec = compute_prec(h, alpha)
         g = Ghd.chain([("C", "D"), ("B", "D"), ("A", "B")])
-        assert not is_valid(h, prec, g)  # D's top sits above A's
+        assert not is_valid(prec, g)  # D's top sits above A's
 
     def test_valid_exactly_when_compatible_with_an_equivalent_ordering(self):
         # every distinct-bag GHD of each body, valid or not for its ordering
@@ -133,7 +133,7 @@ class TestIsValid:
             prec = compute_prec(h, alpha)
             betas = list(linear_extensions(prec, alpha))
             for g in exhaustive_valid_ghds(h, ordering()):
-                valid = is_valid(h, prec, g)
+                valid = is_valid(prec, g)
                 assert valid == any(is_compatible(g, beta) for beta in betas), (h, alpha, g)
                 outcomes.add(valid)
         assert outcomes == {True, False}
@@ -233,7 +233,7 @@ class TestStitch:
         ghds = [optimal_ghd(p, cost_edges=cost) for p in parts]
         stitched = stitch(star, alpha, ghds)
         assert is_ghd(star, stitched)
-        assert is_valid(star, compute_prec(star, alpha), stitched)
+        assert is_valid(compute_prec(star, alpha), stitched)
         assert width(stitched, star).width == 1
 
     def test_width_identity_exact(self, chain_h, cycle6, triangle):
@@ -386,7 +386,7 @@ class TestNormalizeDecomposable:
             out = normalize_decomposable(h, alpha, prec, g)
             done += 1
             assert is_ghd(h, out)
-            assert is_valid(h, prec, out)
+            assert is_valid(prec, out)
             assert is_top_unique(out)
             assert is_subtree_connected(h, out)
             old_bags = list(g.chi.values())

@@ -193,7 +193,7 @@ class TestContraction:
             where = (trial, alpha.items, h.edges)
             assert is_ghd(h, p.ghd), where
             assert is_compatible(p.ghd, p.beta), where
-            assert is_valid(h, compute_prec(h, p.alpha), p.ghd), where
+            assert is_valid(compute_prec(h, p.alpha), p.ghd), where
             inst = RandomInstanceSpec(
                 semiring_name="qplus", domain_size=2, density=0.7, seed=9000 + trial
             ).instance(h)
