@@ -68,9 +68,7 @@ def cmd_run(args) -> int:
     if args.domains or query.ordering.has_products():
         domains = load_domains_json(args.domains, relations)
     stats = ExecStats() if args.explain else None
-    # data mode prices bags by the cardinalities just loaded
-    sizes = {edge: len(rel) for edge, rel in relations.items()} if args.mode == "data" else None
-    query_plan = build_plan(query.hypergraph, query.ordering, sizes=sizes, mode=args.mode)
+    query_plan = build_plan(query.hypergraph, query.ordering)
     result = run_plan(query_plan, relations, domains, semiring, stats)
     result = result.reorder(query.head_attrs)
     if args.out:
@@ -199,7 +197,6 @@ def main(argv=None) -> int:
     p.add_argument("query")
     p.add_argument("--data", required=True)
     p.add_argument("--domains", default=None)
-    p.add_argument("--mode", choices=("unit", "data"), default="unit")
     p.add_argument("--out", default=None)
     p.add_argument("--explain", action="store_true")
     p.set_defaults(func=cmd_run)

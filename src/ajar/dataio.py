@@ -1,8 +1,8 @@
 """CSV relation files, domain declarations, statistics, and plan export.
 
-Every input is read as UTF-8.  Relation files are parsed a column at a time
-in bounded chunks; a row-at-a-time loop runs only to report a bad row by its
-``file:line``.
+Every input is read as UTF-8, a leading byte-order mark skipped.  Relation
+files are parsed a column at a time in bounded chunks; a row-at-a-time loop
+runs only to report a bad row by its ``file:line``.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ def load_relation_csv(
 
     Rows are read in chunks of ``CHUNK_ROWS`` and parsed a column at a time:
     ``int`` over each key column (``parse_value`` for a column where that
-    fails) and over an integer annotation column (``parse_annotation``
-    otherwise), so the cost is a Python call per chunk and column rather than
-    per cell.  A ragged row, a repeated key or an annotation that does not
+    fails) and ``SemiringSpec.parse_column`` over the annotations, so the
+    cost is a Python call per chunk and column rather than per cell.  A
+    ragged row, a repeated key or an annotation that does not
     parse sends the whole file back to the row loop, which raises the
     ``file:line`` error.  Zero annotations are dropped after the duplicate
     check.  When a schema is given (per-atom renaming), columns map as
@@ -76,7 +76,7 @@ def _header(path: Path, reader) -> list[str]:
 def _load_columns(path: Path, semiring: SemiringSpec) -> Optional[AnnotatedRelation]:
     """The chunked column-wise load, or None where the row loop must report."""
     tuples: dict = {}
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = _header(path, reader)
         width = len(header)
@@ -92,7 +92,7 @@ def _load_columns(path: Path, semiring: SemiringSpec) -> Optional[AnnotatedRelat
             before = len(tuples)
             try:
                 keys = zip(*map(_parse_keys, keys)) if keys else repeat((), len(chunk))
-                tuples.update(zip(keys, _parse_annotations(semiring, annotations)))
+                tuples.update(zip(keys, semiring.parse_column(annotations)))
             except (ValueError, ArithmeticError, QueryError):
                 return None  # a bad annotation
             if len(tuples) != before + len(chunk):
@@ -114,20 +114,9 @@ def _parse_keys(column: tuple[str, ...]) -> list:
         return list(map(parse_value, column))
 
 
-def _parse_annotations(semiring: SemiringSpec, column: tuple[str, ...]) -> list:
-    """``int`` equals ``parse_annotation`` on every cell it accepts in these
-    domains: it strips the cell itself and never reads "inf"."""
-    if semiring.domain in ("integer", "extended-integer-with-infinity"):
-        try:
-            return list(map(int, column))
-        except ValueError:
-            pass
-    return list(map(semiring.parse_annotation, column))
-
-
 def _load_rows(path: Path, semiring: SemiringSpec) -> AnnotatedRelation:
     """The row-at-a-time load, which names the line of the first bad row."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = _header(path, reader)
         rows = {}
@@ -163,9 +152,10 @@ def _not_utf8(path: str | Path) -> QueryError:
 
 
 def read_text(path: str | Path) -> str:
-    """A whole text file read as UTF-8; bad bytes are a QueryError."""
+    """A whole text file read as UTF-8 without its byte-order mark; bad
+    bytes are a QueryError."""
     try:
-        with Path(path).open(encoding="utf-8") as fh:
+        with Path(path).open(encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError:
         raise _not_utf8(path) from None

@@ -11,7 +11,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import QueryError
 
@@ -94,6 +94,18 @@ class SemiringSpec:
                 raise QueryError(f"annotation {text!r} outside nonneg-real domain")
             return value
         return int(text)
+
+    def parse_column(self, cells: Sequence[str]) -> list:
+        """``parse_annotation`` over a column of cells.  In the two integer
+        domains one ``map(int, …)`` gives the same values, since ``int``
+        strips a cell itself; a column it rejects ("inf", say) is parsed
+        again a cell at a time."""
+        if self.domain in ("integer", "extended-integer-with-infinity"):
+            try:
+                return list(map(int, cells))
+            except ValueError:
+                pass
+        return list(map(self.parse_annotation, cells))
 
     def format_annotation(self, value: Any) -> str:
         return "inf" if value is INF else str(value)

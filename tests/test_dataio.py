@@ -10,7 +10,7 @@ import pytest
 
 from ajar import AnnotatedRelation, QueryError, get_semiring
 from ajar import dataio
-from ajar.dataio import ANNOTATION_COLUMN, load_relation_csv, parse_value
+from ajar.dataio import ANNOTATION_COLUMN, load_relation_csv, load_stats_json, parse_value
 from ajar.semirings import builtin_semirings
 
 
@@ -190,6 +190,36 @@ class TestErrors:
         lines[row] = "9999,\xff"
         raw = ("A,__annotation\n" + "\n".join(lines) + "\n").encode("latin-1")
         path = tmp_path / "R.csv"
+        path.write_bytes(raw)
+        with pytest.raises(QueryError) as exc:
+            load_relation_csv(path, int_sr)
+        assert str(exc.value) == f"{path}: not valid UTF-8 (byte {raw.index(0xFF)})"
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as spreadsheet programs write it, is not
+    part of the first attribute's name."""
+
+    def test_header_maps_atom_by_name(self, tmp_path, int_sr):
+        path = tmp_path / "R.csv"
+        path.write_bytes(b"\xef\xbb\xbfB,A,__annotation\n2,1,5\n")
+        rel = load_relation_csv(path, int_sr, schema=("A", "B"))
+        assert rel.schema == ("A", "B")
+        assert rel.tuples == {(1, 2): 5}
+
+    def test_row_loop_skips_it(self, tmp_path, int_sr):
+        path = tmp_path / "R.csv"
+        path.write_bytes(b"\xef\xbb\xbfB,A,__annotation\n2,1,5\n")
+        assert dataio._load_rows(path, int_sr).schema == ("B", "A")
+
+    def test_json_skips_it(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'\xef\xbb\xbf{"R": 3}')
+        assert load_stats_json(path) == {"R": 3}
+
+    def test_bad_byte_offset_counts_the_mark(self, tmp_path, int_sr):
+        path = tmp_path / "R.csv"
+        raw = b"\xef\xbb\xbfA,__annotation\n1,\xff\n"
         path.write_bytes(raw)
         with pytest.raises(QueryError) as exc:
             load_relation_csv(path, int_sr)

@@ -487,37 +487,6 @@ class TestCli:
         assert payload["mode"] == "data"
         assert 0 <= payload["width"] <= 2
 
-    def test_run_data_mode(self, tmp_path, monkeypatch, capsys):
-        from ajar import cli
-        from ajar.planner import plan
-
-        (tmp_path / "q.aj").write_text(
-            "Q(A) = sum[B] sum[C] R(A,B), S(B,C), T(A,C) @ semiring=int\n"
-        )
-        sizes = {"R": 2, "S": 12, "T": 30}
-        for name, n in sizes.items():
-            rows = "".join(f"{i % 3},{i // 3},{i % 5 + 1}\n" for i in range(n))
-            (tmp_path / f"{name}.csv").write_text(f"X,Y,__annotation\n{rows}")
-        plans = []
-        original = cli.build_plan
-
-        def spy(*args, **kwargs):
-            plans.append(original(*args, **kwargs))
-            return plans[-1]
-
-        monkeypatch.setattr(cli, "build_plan", spy)
-        query_path = str(tmp_path / "q.aj")
-        answers = []
-        for mode in ("unit", "data"):
-            assert main(["run", query_path, "--data", str(tmp_path), "--mode", mode]) == 0
-            answers.append(capsys.readouterr().out)
-        assert answers[0] == answers[1] and answers[0].count("\n") > 2
-        unit, data = plans
-        query = parse_query((tmp_path / "q.aj").read_text())
-        want = plan(query.hypergraph, query.ordering, sizes, mode="data")
-        assert (unit.to_dict()["mode"], data.to_dict()["mode"]) == ("unit", "data")
-        assert data.width == want.width and data.width != unit.width
-
     def test_internal_error_exit_code(self, worked_example_dir, monkeypatch, capsys):
         from ajar import cli
         from ajar.errors import InternalError

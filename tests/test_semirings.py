@@ -55,6 +55,24 @@ def test_annotation_parsing():
         get_semiring("qplus").parse_annotation("-1/2")
 
 
+def _parsed(parse, cells):
+    """Values with their types, or the error a parse raises."""
+    try:
+        return repr(parse(cells))
+    except (ValueError, QueryError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", ["int", "qplus", "minplus", "bool01"])
+def test_parse_column_is_parse_annotation_per_cell(name):
+    sr = get_semiring(name)
+    columns = [(), ("1", " 2 ", "+3", "0", "-4"), ("inf", " 4"), ("3/4", "1.5"),
+               ("1", "x"), ("2",), ("-1/2",), ("1_0", "\t7\n"), ("",)]
+    for cells in columns:
+        want = _parsed(lambda c: [sr.parse_annotation(x) for x in c], cells)
+        assert _parsed(sr.parse_column, cells) == want, cells
+
+
 def test_unknown_semiring_and_operator():
     with pytest.raises(QueryError):
         get_semiring("nosuch")
