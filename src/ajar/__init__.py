@@ -23,14 +23,13 @@ from .ghd import (
     is_compatible,
     is_ghd,
     is_valid,
-    normalize_decomposable,
     optimal_ghd,
     product_partition_hypergraph,
     stitch,
     top_map,
     width,
 )
-from .hypergraph import Edge, Hypergraph, connected_components, edges_touching, find_path
+from .hypergraph import Edge, Hypergraph, connected_components, find_path
 from .oracle import (
     RandomInstanceSpec,
     exhaustive_valid_ghds,

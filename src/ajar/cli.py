@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 from .dataio import (
+    ANNOTATION_COLUMN,
     edge_sizes,
     load_domains_json,
     load_query_data,
@@ -35,6 +36,21 @@ def _read_query(path: str):
 
 def _query_semiring(query, override=None):
     return get_semiring(override or query.semiring_name or "int")
+
+
+def _write_result(rel, semiring, out) -> None:
+    """The relation as a CSV file at out, or as CSV text on stdout, rows
+    sorted as text."""
+    if out:
+        write_relation_csv(rel, semiring, out)
+        return
+    print(",".join(list(rel.schema) + [ANNOTATION_COLUMN]))
+    rows = [
+        [str(v) for v in row] + [semiring.format_annotation(lam)]
+        for row, lam in rel.tuples.items()
+    ]
+    for row in sorted(rows):
+        print(",".join(row))
 
 
 def cmd_plan(args) -> int:
@@ -71,16 +87,7 @@ def cmd_run(args) -> int:
     query_plan = build_plan(query.hypergraph, query.ordering)
     result = run_plan(query_plan, relations, domains, semiring, stats)
     result = result.reorder(query.head_attrs)
-    if args.out:
-        write_relation_csv(result, semiring, args.out)
-    else:
-        print(",".join(list(result.schema) + ["__annotation"]))
-        rows = [
-            [str(v) for v in row] + [semiring.format_annotation(lam)]
-            for row, lam in result.tuples.items()
-        ]
-        for row in sorted(rows):
-            print(",".join(row))
+    _write_result(result, semiring, args.out)
     if args.explain:
         print(json.dumps({"plan": query_plan.to_dict(), "stats": stats.to_dict()}, indent=2))
     return 0
@@ -107,16 +114,7 @@ def cmd_closure(args) -> int:
     semiring = get_semiring(args.semiring)
     rel = load_relation_csv(args.relation, semiring)
     closed = transitive_closure(rel, semiring)
-    if args.out:
-        write_relation_csv(closed, semiring, args.out)
-    else:
-        print(",".join(list(closed.schema) + ["__annotation"]))
-        rows = [
-            [str(v) for v in row] + [semiring.format_annotation(lam)]
-            for row, lam in closed.tuples.items()
-        ]
-        for row in sorted(rows):
-            print(",".join(row))
+    _write_result(closed, semiring, args.out)
     return 0
 
 

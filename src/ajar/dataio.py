@@ -1,15 +1,16 @@
 """CSV relation files, domain declarations, statistics, and plan export.
 
 Every input is read as UTF-8, a leading byte-order mark skipped.  Relation
-files are parsed a column at a time in bounded chunks; a row-at-a-time loop
-runs only to report a bad row by its ``file:line``.
+files are parsed a column at a time in bounded chunks by one loop; when a
+chunk fails, the same loop runs again one row per chunk to name the bad
+row's ``file:line``, the physical line its record starts on.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -46,17 +47,18 @@ def load_relation_csv(
     ``int`` over each key column (``parse_value`` for a column where that
     fails) and ``SemiringSpec.parse_column`` over the annotations, so the
     cost is a Python call per chunk and column rather than per cell.  A
-    ragged row, a repeated key or an annotation that does not
-    parse sends the whole file back to the row loop, which raises the
-    ``file:line`` error.  Zero annotations are dropped after the duplicate
-    check.  When a schema is given (per-atom renaming), columns map as
-    ``_atom_relation`` maps them.
+    ragged row, a repeated key or an annotation that does not parse fails
+    its chunk; the same loop then reads the file again one row per chunk,
+    where the failing check raises the error naming the file and the
+    physical line the bad record starts on.  Zero annotations are dropped
+    after the duplicate check.  When a schema is given (per-atom renaming),
+    columns map as ``_atom_relation`` maps them.
     """
     path = Path(path)
     try:
-        rel = _load_columns(path, semiring)
-        if rel is None:
-            rel = _load_rows(path, semiring)
+        rel = _load_columns(path, semiring, CHUNK_ROWS)
+        if rel is None:  # an empty relation is falsy, a failed chunk None
+            rel = _load_columns(path, semiring, 1)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     return rel if schema is None else _atom_relation(path, rel, schema)
@@ -73,30 +75,46 @@ def _header(path: Path, reader) -> list[str]:
     return header
 
 
-def _load_columns(path: Path, semiring: SemiringSpec) -> Optional[AnnotatedRelation]:
-    """The chunked column-wise load, or None where the row loop must report."""
+def _load_columns(
+    path: Path, semiring: SemiringSpec, rows: int
+) -> Optional[AnnotatedRelation]:
+    """The column-wise load, ``rows`` rows per chunk; None when a chunk
+    fails.  With one row per chunk the failing check raises instead, in the
+    order a row is checked: its length, its key, then its annotation."""
     tuples: dict = {}
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = _header(path, reader)
         width = len(header)
-        while chunk := list(islice(reader, CHUNK_ROWS)):
+        while True:
+            where = reader.line_num + 1  # the line the chunk's first record starts on
+            chunk = list(islice(reader, rows))
+            if not chunk:
+                break
             lengths = set(map(len, chunk))
             if lengths != {width}:
                 if not lengths <= {0, width}:
-                    return None  # a ragged row
+                    return _failed(rows, f"{path}:{where}: wrong column count")
                 chunk = list(filter(None, chunk))  # blank lines
                 if not chunk:
                     continue
             *keys, annotations = zip(*chunk)
+            keys = list(zip(*map(_parse_keys, keys))) if keys else [()] * len(chunk)
+            if rows == 1 and keys[0] in tuples:
+                raise QueryError(f"{path}:{where}: duplicate tuple {keys[0]}")
             before = len(tuples)
             try:
-                keys = zip(*map(_parse_keys, keys)) if keys else repeat((), len(chunk))
                 tuples.update(zip(keys, semiring.parse_column(annotations)))
-            except (ValueError, ArithmeticError, QueryError):
-                return None  # a bad annotation
+            except (ValueError, ArithmeticError):
+                return _failed(
+                    rows,
+                    f"{path}:{where}: bad annotation {annotations[0].strip()!r} "
+                    f"for semiring {semiring.name!r}",
+                )
+            except QueryError as exc:
+                return _failed(rows, f"{path}:{where}: {exc}")
             if len(tuples) != before + len(chunk):
-                return None  # a repeated key
+                return None  # a repeated key (a one-row chunk raised above)
     rel = AnnotatedRelation.empty(header[:-1])
     zero = semiring.zero
     rel.tuples = (
@@ -107,37 +125,17 @@ def _load_columns(path: Path, semiring: SemiringSpec) -> Optional[AnnotatedRelat
     return rel
 
 
+def _failed(rows: int, message: str) -> None:
+    """A chunk's failure: the error when the chunk is one row, else None."""
+    if rows == 1:
+        raise QueryError(message) from None
+
+
 def _parse_keys(column: tuple[str, ...]) -> list:
     try:
         return list(map(int, column))
     except ValueError:
         return list(map(parse_value, column))
-
-
-def _load_rows(path: Path, semiring: SemiringSpec) -> AnnotatedRelation:
-    """The row-at-a-time load, which names the line of the first bad row."""
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = _header(path, reader)
-        rows = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise QueryError(f"{path}:{lineno}: wrong column count")
-            key = tuple(parse_value(cell) for cell in row[:-1])
-            if key in rows:
-                raise QueryError(f"{path}:{lineno}: duplicate tuple {key}")
-            try:
-                rows[key] = semiring.parse_annotation(row[-1])
-            except (ValueError, ArithmeticError):
-                raise QueryError(
-                    f"{path}:{lineno}: bad annotation {row[-1].strip()!r} "
-                    f"for semiring {semiring.name!r}"
-                ) from None
-            except QueryError as exc:
-                raise QueryError(f"{path}:{lineno}: {exc}") from None
-    return AnnotatedRelation(header[:-1], rows, zero=semiring.zero)
 
 
 def _not_utf8(path: str | Path) -> QueryError:

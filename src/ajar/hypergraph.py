@@ -99,9 +99,3 @@ def find_path(
             prev[w] = v
             stack.append(w)
     return None
-
-
-def edges_touching(h: Hypergraph, attrs: Iterable[str]) -> tuple[Edge, ...]:
-    """Exactly the edges intersecting the given attribute set."""
-    attrs = set(attrs)
-    return tuple(e for e in h.edges if e.attrs & attrs)

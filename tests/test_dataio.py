@@ -1,4 +1,5 @@
-"""The chunked column-wise CSV loader against the row loop it replaced."""
+"""The chunked column-wise CSV loader against the row loop it replaced,
+kept here as the reference."""
 
 import csv
 import io
@@ -196,6 +197,41 @@ class TestErrors:
         assert str(exc.value) == f"{path}: not valid UTF-8 (byte {raw.index(0xFF)})"
 
 
+class TestPhysicalLines:
+    """After a quoted cell that holds a newline, an error names the physical
+    line where its record starts, not the record's number."""
+
+    @pytest.fixture(autouse=True, params=[4096, 2, 1])
+    def chunk_rows(self, request, monkeypatch):
+        monkeypatch.setattr(dataio, "CHUNK_ROWS", request.param)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('A,__annotation\n"x\ny",1\n1,x\n', "4: bad annotation 'x' for semiring 'int'"),
+            ('A,__annotation\n"x\ny",1\n1,2,3\n', "4: wrong column count"),
+            ('A,__annotation\n"x\ny",1\n1,1\n\n 1,2\n', "6: duplicate tuple (1,)"),
+            ('A,__annotation\n1,1\n"a\nb",x\n', "3: bad annotation 'x' for semiring 'int'"),
+            ('"A\n",__annotation\n1,1\n1,1\n', "4: duplicate tuple (1,)"),
+        ],
+        ids=["annotation", "ragged", "repeat", "record-spans-lines", "header-spans-lines"],
+    )
+    def test_message_names_physical_line(self, tmp_path, text, message):
+        path = tmp_path / "R.csv"
+        path.write_text(text, "utf-8")
+        with pytest.raises(QueryError) as exc:
+            load_relation_csv(path, get_semiring("int"))
+        assert str(exc.value) == f"{path}:{message}"
+
+    def test_repeat_reported_before_its_annotation(self, tmp_path):
+        # a row that repeats a key and has a bad annotation: the repeat is named
+        path = tmp_path / "R.csv"
+        path.write_text("A,__annotation\n1,1\n1,x\n", "utf-8")
+        want = _outcome(reference_load, path, get_semiring("int"))
+        assert want == f"QueryError: {path}:3: duplicate tuple (1,)"
+        assert _outcome(load_relation_csv, path, get_semiring("int")) == want
+
+
 class TestByteOrderMark:
     """A UTF-8 byte-order mark, as spreadsheet programs write it, is not
     part of the first attribute's name."""
@@ -208,9 +244,10 @@ class TestByteOrderMark:
         assert rel.tuples == {(1, 2): 5}
 
     def test_row_loop_skips_it(self, tmp_path, int_sr):
+        # the one-row pass, which names a bad row's line
         path = tmp_path / "R.csv"
         path.write_bytes(b"\xef\xbb\xbfB,A,__annotation\n2,1,5\n")
-        assert dataio._load_rows(path, int_sr).schema == ("B", "A")
+        assert dataio._load_columns(path, int_sr, 1).schema == ("B", "A")
 
     def test_json_skips_it(self, tmp_path):
         path = tmp_path / "s.json"
@@ -228,14 +265,16 @@ class TestByteOrderMark:
 
 class TestFastPath:
     def test_clean_files_never_reach_the_row_loop(self, tmp_path, monkeypatch):
+        # the row loop is the one-row pass of the chunked load
         fallbacks = []
-        original = dataio._load_rows
+        original = dataio._load_columns
 
-        def spy(path, semiring):
-            fallbacks.append(path)
-            return original(path, semiring)
+        def spy(path, semiring, rows):
+            if rows == 1:
+                fallbacks.append(path)
+            return original(path, semiring, rows)
 
-        monkeypatch.setattr(dataio, "_load_rows", spy)
+        monkeypatch.setattr(dataio, "_load_columns", spy)
         monkeypatch.setattr(dataio, "CHUNK_ROWS", 5)
         rng = random.Random("fast-path")
         path = tmp_path / "R.csv"
@@ -243,6 +282,10 @@ class TestFastPath:
             semiring = get_semiring(name)
             path.write_text(_random_csv(rng, semiring, rng.randint(0, 24)), "utf-8")
             load_relation_csv(path, semiring)
+        # an empty relation is falsy but no failure
+        for text in ("A,__annotation\n", "A,__annotation\n1,0\n"):
+            path.write_text(text, "utf-8")
+            assert load_relation_csv(path, get_semiring("int")).tuples == {}
         assert fallbacks == []
         # the spy sees the row loop when a file needs it
         path.write_text("A,__annotation\n1,1\n1,1\n", "utf-8")

@@ -18,7 +18,6 @@ from ajar import (
     is_ghd,
     is_valid,
     linear_extensions,
-    normalize_decomposable,
     optimal_ghd,
     product_partition_hypergraph,
     stitch,
@@ -30,14 +29,13 @@ from ajar.ghd import (
     aghd_from_stitched,
     characteristic_tree,
     cost_edges_for,
-    is_subtree_connected,
-    is_top_unique,
     stitch_tree,
 )
 from ajar.lp import fractional_cover_value
 from ajar.oracle import exhaustive_valid_ghds
 from ajar.ordering import test_equivalence as is_equivalent
 from conftest import ordering, random_query
+from normalization import is_subtree_connected, is_top_unique, normalize_decomposable
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ajar import Hypergraph, QueryError, connected_components, edges_touching, find_path
+from ajar import Hypergraph, QueryError, connected_components, find_path
 
 
 @pytest.fixture
@@ -103,15 +103,3 @@ class TestPathExists:
             for a, b in itertools.combinations(alive, 2):
                 same = any(a in c and b in c for c in comps)
                 assert same == (find_path(h, a, b, set(alive)) is not None)
-
-
-class TestEdgesTouching:
-    def test_empty_set(self, star4):
-        assert edges_touching(star4, set()) == ()
-
-    def test_single_leaf(self, star4):
-        touched = edges_touching(star4, {"B1"})
-        assert [e.name for e in touched] == ["E1"]
-
-    def test_all_vertices(self, star4):
-        assert len(edges_touching(star4, star4.vertices)) == 4

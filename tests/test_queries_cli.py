@@ -211,6 +211,13 @@ class TestCli:
         assert code == 0
         assert out_csv.read_text().splitlines() == ["A,__annotation", "1,26"]
 
+    def test_run_prints_sorted_csv(self, worked_example_dir, capsys):
+        code = main(
+            ["run", str(worked_example_dir / "q.aj"), "--data", str(worked_example_dir / "data")]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "A,__annotation\n1,26\n"
+
     def test_run_explain_emits_stats(self, worked_example_dir, capsys):
         code = main(
             [
@@ -266,6 +273,18 @@ class TestCli:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert "1,3,3" in lines
+
+    def test_closure_prints_sorted_csv(self, tmp_path, capsys):
+        # rows sort as text ("1,10" before "1,2"); the min-plus zero, inf, is dropped
+        csv = tmp_path / "edges.csv"
+        csv.write_text(
+            "S,D,__annotation\n1,1,0\n2,2,0\n3,3,0\n10,10,0\n1,2,1\n2,3,2\n3,10,inf\n2,10,4\n"
+        )
+        assert main(["closure", str(csv)]) == 0
+        assert capsys.readouterr().out == (
+            "S,D,__annotation\n1,1,0\n1,10,5\n1,2,1\n1,3,3\n"
+            "10,10,0\n2,10,4\n2,2,0\n2,3,2\n3,3,0\n"
+        )
 
     def test_closure_dag_without_self_loops_exit_code(self, tmp_path, capsys):
         # 2^k-step walks die out on a DAG; without self-loops the result was empty
