@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import random
 import sys
 from pathlib import Path
 
 from .dataio import (
-    ANNOTATION_COLUMN,
     edge_sizes,
     load_domains_json,
     load_query_data,
@@ -17,6 +17,7 @@ from .dataio import (
     load_stats_json,
     read_text,
     write_relation_csv,
+    write_relation_rows,
 )
 from .errors import AjarError, InternalError, QueryError
 from .execution import ExecStats
@@ -43,14 +44,8 @@ def _write_result(rel, semiring, out) -> None:
     sorted as text."""
     if out:
         write_relation_csv(rel, semiring, out)
-        return
-    print(",".join(list(rel.schema) + [ANNOTATION_COLUMN]))
-    rows = [
-        [str(v) for v in row] + [semiring.format_annotation(lam)]
-        for row, lam in rel.tuples.items()
-    ]
-    for row in sorted(rows):
-        print(",".join(row))
+    else:
+        write_relation_rows(rel, semiring, csv.writer(sys.stdout, lineterminator="\n"))
 
 
 def cmd_plan(args) -> int:
@@ -119,6 +114,8 @@ def cmd_closure(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.trials < 1:
+        raise QueryError(f"--trials must be at least 1, got {args.trials}")
     rng = random.Random(args.seed)
     failures = 0
     for spec in builtin_semirings():
@@ -225,7 +222,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"error: {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -178,16 +178,19 @@ def write_relation_csv(
     rel: AnnotatedRelation, semiring: SemiringSpec, path: str | Path
 ) -> None:
     """Rows sorted lexicographically for diffability."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(rel.schema) + [ANNOTATION_COLUMN])
-        body = [
-            [format_value(v) for v in row] + [semiring.format_annotation(lam)]
-            for row, lam in rel.tuples.items()
-        ]
-        body.sort()
-        writer.writerows(body)
+    with Path(path).open("w", newline="") as fh:
+        write_relation_rows(rel, semiring, csv.writer(fh))
+
+
+def write_relation_rows(rel: AnnotatedRelation, semiring: SemiringSpec, writer) -> None:
+    """The header, then the rows sorted as text, through a ``csv.writer``."""
+    writer.writerow(list(rel.schema) + [ANNOTATION_COLUMN])
+    body = [
+        [format_value(v) for v in row] + [semiring.format_annotation(lam)]
+        for row, lam in rel.tuples.items()
+    ]
+    body.sort()
+    writer.writerows(body)
 
 
 def load_query_data(

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import repeat
-from operator import and_
+from operator import and_, ne
 from typing import Container, Mapping, Optional
 
 from .errors import InternalError, QueryError
@@ -109,15 +109,24 @@ def generic_join(
     come first, cheapest candidate sets first, and form the output schema.
     ``sum``/``max``/``min`` fold with one ``reduce`` of the semiring's
     additive operator per level visit.  On the last level it runs over the
-    leaf products inside the loop of the level above, with no Python frame
-    per tuple for built-in operators; which weighted tries reach that level
-    is fixed once per call.  The last free level stores what the levels
-    below it return, without a call per value.  ``prod`` keeps a group only if
-    its nonzero values cover the attribute's whole domain, as
-    ``product_aggregate`` does.  An atom whose annotations are all one only
-    filters: it never enters a multiplication.  Like a trie, that check is
-    made once per tuple map, and the count of distinct values that orders
-    the free attributes once per tuple map and column.
+    leaf products, with no Python frame per tuple for built-in operators;
+    which weighted tries reach that level is fixed once per call.  When the
+    last level folds additively and exactly one of its tries is active on
+    the level above too (the varying trie), its other tries (the fixed ones)
+    keep their node through a visit of the level above, so that level folds
+    the last one under all its values at once: the fixed tries' keys are
+    intersected once per visit, and each value's keys, products and fold are
+    ``map``s over the visit's values, with no Python function run per value.
+    This is the shape of a triangle, of an edge times an edge or a message
+    on a path, and of a closure's squaring bag.  With no varying trie, or
+    several, the level above loops over its values, two calls each.  Both
+    paths multiply the same factors in the same order.  The last free level
+    stores what the levels below it return, without a call per value.
+    ``prod`` keeps a group only if its nonzero values cover the attribute's
+    whole domain, as ``product_aggregate`` does.  An atom whose annotations
+    are all one only filters: it never enters a multiplication.  Like a
+    trie, that check is made once per tuple map, and the count of distinct
+    values that orders the free attributes once per tuple map and column.
     """
     fold = fold or AggregationOrdering(())
     steps = []  # per fold level: (additive operator, None) or (None, domain)
@@ -170,7 +179,7 @@ def generic_join(
     weighty: dict = {}  # id of a tuple map -> whether any annotation is not one
     for rel in rels:
         if id(rel.tuples) not in weighty:
-            weighty[id(rel.tuples)] = any(lam != one for lam in rel.tuples.values())
+            weighty[id(rel.tuples)] = any(map(ne, rel.tuples.values(), repeat(one)))
         # edges are never empty and each schema matches its edge, so every
         # relation has at least one level
         cols = tuple(rel.schema.index(a) for a in order if a in rel.schema)
@@ -196,6 +205,13 @@ def generic_join(
     weighted = [i for i, rel in enumerate(rels) if weighty[id(rel.tuples)]]
     deep = [i for i in weighted if i in active[bottom]]
     ended = [i for i in weighted if i not in active[bottom]]
+    # the level above an additive last fold folds all its values at once when
+    # exactly one last-level trie is active there too (the varying trie); the
+    # other last-level tries (the fixed ones) keep their node through a visit
+    above = bottom - 1
+    varying = [i for i in active[bottom] if i in active[above]] if above >= 0 else []
+    fold_above = add_last is not None and len(varying) == 1
+    fixed = [i for i in active[bottom] if i not in varying]
 
     def hits(level: int, nodes: list):
         """The values every active trie holds at this level.  ``&`` of two
@@ -219,11 +235,39 @@ def generic_join(
             out = factor if out is None else map(mul, out, factor)
         return repeat(one, len(values)) if out is None else out
 
+    def last_folds(nodes: list, values) -> list:
+        """The fold of the last level under each value of the level above:
+        ``products`` over all of a visit's values at once, as maps of maps,
+        so no Python function runs per value.  The fixed tries' keys are
+        intersected once per visit."""
+        (var,) = varying
+        leaves = list(map(nodes[var].__getitem__, values))
+        keys = leaves
+        if fixed:
+            common = reduce(and_, sorted(map(dict.keys, map(nodes.__getitem__, fixed)), key=len))
+            keys = list(map(and_, map(dict.keys, leaves), repeat(common)))
+        factors = []
+        for i in deep:
+            if i == var:
+                getters = [leaf.__getitem__ for leaf in leaves]
+            else:
+                getters = repeat(nodes[i].__getitem__)
+            factors.append(map(map, getters, keys))
+        for i in ended:  # one annotation per value if the trie ended at the level above
+            scalars = map(nodes[i].__getitem__, values) if i in active[above] else repeat(nodes[i])
+            factors.append(map(repeat, scalars, map(len, keys)))
+        prods = None if factors else map(repeat, repeat(one), map(len, keys))
+        for factor in factors:
+            prods = factor if prods is None else map(map, repeat(mul), prods, factor)
+        return list(map(reduce, repeat(add_last), prods, repeat(zero)))
+
     def below(level: int, nodes: list):
         """The values of level, and the fold of the levels under each."""
         values = hits(level, nodes)
         if level == bottom:
             return values, products(nodes, values)
+        if level == above and fold_above:
+            return values, last_folds(nodes, values)
         act = active[level]
         child = nodes.copy()
         lams = []

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,32 @@ class TestGenericJoin:
         ("qplus", [("R", "AB"), ("S", "BC")], []),
         # empty intersections: R's B values and S's never meet
         ("int-split", [("R", "AB"), ("S", "BC")], [("B", "sum"), ("A", "sum")]),
+        # the level above an additive last fold, with one varying trie (active
+        # at both levels) and fixed ones; a name ending in 1 holds only ones
+        ("int", [("S", "BC"), ("T", "AC")], [("A", "sum"), ("B", "sum"), ("C", "sum")]),
+        ("minplus", [("S", "BC"), ("T", "AC")], [("B", "min"), ("C", "min")]),
+        ("int1", [("R", "AB"), ("S", "BC"), ("T", "AC")],
+         [("A", "sum"), ("B", "sum"), ("C", "sum")]),
+        ("int", [("S", "BC"), ("T1", "AC")], [("A", "sum"), ("B", "sum"), ("C", "sum")]),
+        ("minplus", [("S1", "BC"), ("T", "AC")], [("B", "min"), ("C", "min")]),
+        ("qplus", [("S", "BC")], [("B", "max"), ("C", "sum")]),
+        ("bool01", [("R", "AB"), ("S", "BC")], [("B", PRODUCT), ("C", "max")]),
+        # ... with weighted tries that end at the level above, or above it
+        ("int", [("E", "AB"), ("S", "BC"), ("T", "AC")],
+         [("A", "sum"), ("B", "sum"), ("C", "sum")]),
+        ("qplus", [("E", "AB"), ("S1", "BC"), ("T1", "AC")], [("B", "max"), ("C", "sum")]),
+        ("int", [("U", "A"), ("E", "AB"), ("S", "BC"), ("T1", "AC")],
+         [("A", "sum"), ("B", "sum"), ("C", "sum")]),
+        ("minplus", [("U", "A"), ("S1", "BC"), ("T1", "AC")], [("B", "min"), ("C", "min")]),
+        # ... with two fixed tries, weighted or not
+        ("int", [("S", "BC"), ("T", "AC"), ("U", "C")],
+         [("A", "sum"), ("B", "sum"), ("C", "sum")]),
+        ("qplus", [("S", "BC"), ("T1", "AC"), ("V", "DC")],
+         [("A", "max"), ("D", "sum"), ("B", "sum"), ("C", "max")]),
+        # two varying tries, or none: the level above keeps its loop
+        ("int", [("R", "BC"), ("S", "BC"), ("T", "AC")],
+         [("A", "sum"), ("B", "sum"), ("C", "sum")]),
+        ("int", [("R", "AB"), ("T", "AC")], [("A", "sum"), ("B", "sum"), ("C", "sum")]),
     ])
     def test_last_level_shapes(self, data, atoms, fold):
         # each shape of the last level against folding the whole join, over
@@ -269,7 +296,8 @@ class TestGenericJoin:
                 rows = itertools.product(range(4), repeat=len(attrs))
                 if disjoint:  # B < 2 in R, B >= 2 in S
                     rows = [row for row in rows if (row[attrs.index("B")] < 2) == (rel == "R")]
-                tuples = {row: rng.choice(weights) for row in rows if rng.random() < 0.6}
+                choices = [base.one] if rel.endswith("1") else weights
+                tuples = {row: rng.choice(choices) for row in rows if rng.random() < 0.6}
                 rels[rel] = AnnotatedRelation(tuple(attrs), tuples)
             doms = DomainRegistry.from_declarations({}, rels)
             calls.clear()
@@ -280,6 +308,37 @@ class TestGenericJoin:
             assert stats.multiplications == len(calls), (atoms, seed)
             if disjoint:
                 assert not got
+
+    def test_level_above_last_fold_calls_no_function_per_value(self, int_sr):
+        # an all-one triangle count folds C under all of a visit's B values at
+        # once, so the Python calls from execution.py grow with the values of
+        # A, the first level, not with the edges; an upper bound, as newer
+        # Pythons inline comprehensions
+        rng = random.Random(0)
+        edges = set()
+        while len(edges) < 500:
+            edges.add(tuple(rng.sample(range(60), 2)))
+        atoms = [("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))]
+        rels = {}
+        for name, attrs in atoms:
+            rels[name] = AnnotatedRelation.empty(attrs)
+            rels[name].tuples = dict.fromkeys(edges, 1)
+        h = Hypergraph.build(atoms)
+        fold = ordering(("A", "sum"), ("B", "sum"), ("C", "sum"))
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == execution.__file__:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            got = generic_join(h, rels, int_sr, None, fold)
+        finally:
+            sys.setprofile(None)
+        assert got == execution._fold_ordering(join(rels.values(), int_sr), fold, int_sr, None)
+        firsts = len({a for a, _ in edges})
+        assert len(calls) <= 6 * firsts + 40, collections.Counter(calls)
 
     def test_distinct_counted_once_per_column(self, int_sr, monkeypatch):
         # a triangle over one tuple map orders its attributes by two scans,

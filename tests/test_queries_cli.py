@@ -1,4 +1,8 @@
+import csv
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -286,6 +290,18 @@ class TestCli:
             "10,10,0\n2,10,4\n2,2,0\n2,3,2\n3,3,0\n"
         )
 
+    def test_closure_stdout_parses_as_the_out_file(self, tmp_path, capsys):
+        # a key holding a comma is quoted on stdout as in the --out file
+        edges = tmp_path / "edges.csv"
+        edges.write_text('S,D,__annotation\n"a,b","a,b",0\nc,c,0\n"a,b",c,2\n')
+        assert main(["closure", str(edges)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == 'S,D,__annotation\n"a,b","a,b",0\n"a,b",c,2\nc,c,0\n'
+        out = tmp_path / "out.csv"
+        assert main(["closure", str(edges), "--out", str(out)]) == 0
+        with out.open(newline="") as fh:
+            assert list(csv.reader(io.StringIO(printed))) == list(csv.reader(fh))
+
     def test_closure_dag_without_self_loops_exit_code(self, tmp_path, capsys):
         # 2^k-step walks die out on a DAG; without self-loops the result was empty
         csv = tmp_path / "edges.csv"
@@ -413,6 +429,24 @@ class TestCli:
     def test_selftest_smoke(self, capsys):
         assert main(["selftest", "--trials", "120", "--seed", "3"]) == 0
         assert "all ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_selftest_needs_a_trial(self, trials, capsys):
+        # no law triple checked is no test passed
+        assert main(["selftest", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "--trials" in captured.err
+        assert "ok" not in captured.out
+
+    def test_error_without_a_file_name(self, worked_example_dir, monkeypatch, capsys):
+        # a closed stdout (as in `ajar selftest | head -3`) names no file
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["plan", str(worked_example_dir / "q.aj")]) == 1
+        assert capsys.readouterr().err == f"error: {os.strerror(errno.EPIPE)}\n"
 
     def test_console_entry_point(self, worked_example_dir):
         proc = subprocess.run(
