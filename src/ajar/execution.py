@@ -25,8 +25,8 @@ those inside ``join`` and the folds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from itertools import repeat
+from functools import partial, reduce
+from itertools import repeat, tee
 from operator import and_, ne
 from typing import Container, Mapping, Optional
 
@@ -111,16 +111,13 @@ def generic_join(
     additive operator per level visit.  On the last level it runs over the
     leaf products, with no Python frame per tuple for built-in operators;
     which weighted tries reach that level is fixed once per call.  When the
-    last level folds additively and exactly one of its tries is active on
-    the level above too (the varying trie), its other tries (the fixed ones)
-    keep their node through a visit of the level above, so that level folds
-    the last one under all its values at once: the fixed tries' keys are
-    intersected once per visit, and each value's keys, products and fold are
-    ``map``s over the visit's values, with no Python function run per value.
-    This is the shape of a triangle, of an edge times an edge or a message
-    on a path, and of a closure's squaring bag.  With no varying trie, or
-    several, the level above loops over its values, two calls each.  Both
-    paths multiply the same factors in the same order.  The last free level
+    last level folds additively, the level above folds it under all its
+    values at once.  The last level's tries that are active on the level
+    above too (the varying ones) change node with its value; the others (the
+    fixed ones) keep theirs through a visit, so their keys are intersected
+    once per visit.  Each value's keys, products and fold are then ``map``s
+    over the visit's values, with no Python function run per value, and in
+    the same factor order as on the last level itself.  The last free level
     stores what the levels below it return, without a call per value.
     ``prod`` keeps a group only if its nonzero values cover the attribute's
     whole domain, as ``product_aggregate`` does.  An atom whose annotations
@@ -205,12 +202,12 @@ def generic_join(
     weighted = [i for i, rel in enumerate(rels) if weighty[id(rel.tuples)]]
     deep = [i for i in weighted if i in active[bottom]]
     ended = [i for i in weighted if i not in active[bottom]]
-    # the level above an additive last fold folds all its values at once when
-    # exactly one last-level trie is active there too (the varying trie); the
-    # other last-level tries (the fixed ones) keep their node through a visit
+    # the level above an additive last fold folds all its values at once; the
+    # last level's tries active there too change node with its value (the
+    # varying ones), the others (the fixed ones) keep theirs through a visit
     above = bottom - 1
+    fold_above = add_last is not None and above >= 0
     varying = [i for i in active[bottom] if i in active[above]] if above >= 0 else []
-    fold_above = add_last is not None and len(varying) == 1
     fixed = [i for i in active[bottom] if i not in varying]
 
     def hits(level: int, nodes: list):
@@ -239,24 +236,30 @@ def generic_join(
         """The fold of the last level under each value of the level above:
         ``products`` over all of a visit's values at once, as maps of maps,
         so no Python function runs per value.  The fixed tries' keys are
-        intersected once per visit."""
-        (var,) = varying
-        leaves = list(map(nodes[var].__getitem__, values))
-        keys = leaves
+        intersected once per visit; each value's keys are a lazy stream,
+        copied by ``tee`` for each factor, so one value's set lives at once."""
+        n = len(values)
+        leaves = {}
+        streams = []
+        for i in varying:
+            leaves[i] = list(map(nodes[i].__getitem__, values))
+            streams.append(map(dict.keys, leaves[i]))
         if fixed:
             common = reduce(and_, sorted(map(dict.keys, map(nodes.__getitem__, fixed)), key=len))
-            keys = list(map(and_, map(dict.keys, leaves), repeat(common)))
+            streams.append(repeat(common, n))
+        keys = reduce(partial(map, and_), streams)
+        copies = iter(tee(keys, len(deep) + len(ended) or 1))
         factors = []
         for i in deep:
-            if i == var:
-                getters = [leaf.__getitem__ for leaf in leaves]
+            if i in leaves:
+                getters = map(getattr, leaves[i], repeat("__getitem__"))
             else:
                 getters = repeat(nodes[i].__getitem__)
-            factors.append(map(map, getters, keys))
+            factors.append(map(map, getters, next(copies)))
         for i in ended:  # one annotation per value if the trie ended at the level above
             scalars = map(nodes[i].__getitem__, values) if i in active[above] else repeat(nodes[i])
-            factors.append(map(repeat, scalars, map(len, keys)))
-        prods = None if factors else map(repeat, repeat(one), map(len, keys))
+            factors.append(map(repeat, scalars, map(len, next(copies))))
+        prods = None if factors else map(repeat, repeat(one), map(len, next(copies)))
         for factor in factors:
             prods = factor if prods is None else map(map, repeat(mul), prods, factor)
         return list(map(reduce, repeat(add_last), prods, repeat(zero)))
@@ -271,14 +274,10 @@ def generic_join(
         act = active[level]
         child = nodes.copy()
         lams = []
-        reduce_next = level + 1 == bottom and add_last is not None
         for value in values:
             for i in act:
                 child[i] = nodes[i][value]
-            if reduce_next:
-                lams.append(reduce(add_last, products(child, hits(bottom, child)), zero))
-            else:
-                lams.append(folded(level + 1, child))
+            lams.append(folded(level + 1, child))
         return values, lams
 
     def folded(level: int, nodes: list):

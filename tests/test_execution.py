@@ -265,7 +265,7 @@ class TestGenericJoin:
          [("A", "sum"), ("B", "sum"), ("C", "sum")]),
         ("qplus", [("S", "BC"), ("T1", "AC"), ("V", "DC")],
          [("A", "max"), ("D", "sum"), ("B", "sum"), ("C", "max")]),
-        # two varying tries, or none: the level above keeps its loop
+        # ... with two varying tries, or none
         ("int", [("R", "BC"), ("S", "BC"), ("T", "AC")],
          [("A", "sum"), ("B", "sum"), ("C", "sum")]),
         ("int", [("R", "AB"), ("T", "AC")], [("A", "sum"), ("B", "sum"), ("C", "sum")]),
