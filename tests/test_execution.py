@@ -268,6 +268,8 @@ class TestGenericJoin:
         # ... with two varying tries, or none
         ("int", [("R", "BC"), ("S", "BC"), ("T", "AC")],
          [("A", "sum"), ("B", "sum"), ("C", "sum")]),
+        ("minplus", [("E", "AB"), ("R1", "BC"), ("S", "BC")],
+         [("A", "min"), ("B", "min"), ("C", "min")]),
         ("int", [("R", "AB"), ("T", "AC")], [("A", "sum"), ("B", "sum"), ("C", "sum")]),
     ])
     def test_last_level_shapes(self, data, atoms, fold):
