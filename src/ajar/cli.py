@@ -39,13 +39,26 @@ def _query_semiring(query, override=None):
     return get_semiring(override or query.semiring_name or "int")
 
 
+class _NewlineLines:
+    """Lines from a ``csv.writer`` ending "\r\n", printed ending "\n".
+
+    The writer quotes a field holding "\r" or "\n" only when that character
+    is in its line terminator, so stdout keeps the file's "\r\n" terminator
+    for the quoting and changes it after the row is built; each ``writerow``
+    makes one ``write`` call holding the whole row.
+    """
+
+    def write(self, line: str):
+        return sys.stdout.write(line[:-2] + "\n")
+
+
 def _write_result(rel, semiring, out) -> None:
     """The relation as a CSV file at out, or as CSV text on stdout, rows
-    sorted as text."""
+    sorted as text and quoted alike."""
     if out:
         write_relation_csv(rel, semiring, out)
     else:
-        write_relation_rows(rel, semiring, csv.writer(sys.stdout, lineterminator="\n"))
+        write_relation_rows(rel, semiring, csv.writer(_NewlineLines()))
 
 
 def cmd_plan(args) -> int:

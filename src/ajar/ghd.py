@@ -15,7 +15,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from .errors import InternalError, QueryError
 from .hypergraph import Edge, Hypergraph, connected_components
-from .lp import fractional_cover_value
+from .lp import cover_bracket, fractional_cover_value
 from .ordering import AggregationOrdering, PrecedenceRelation, commute_block
 from .semirings import PRODUCT, log_cost
 
@@ -485,14 +485,26 @@ def optimal_ghd(
     Dynamic program over eliminated-prefix sets; the bag produced when a
     vertex is eliminated depends only on the set eliminated before it, so
     this searches every elimination order.  Bag costs come from the
-    fractional cover LP over cost_edges (defaults to h's own edges).
+    fractional cover LP over cost_edges (defaults to h's own edges).  At
+    each prefix set the last-eliminated vertex v is scanned in sorted order
+    and the first of least cost, max(width of the prefix without v, cost of
+    v's bag), wins.
 
-    Pruning: while scanning the last-eliminated vertex v of a prefix set in
-    sorted order, v is skipped, bag and LP included, once the best width of
-    the prefix without v already reaches the incumbent.  Its cost, the max of
-    that width and its bag's cost, could only tie the incumbent, and a tie
-    goes to the earlier vertex, which the incumbent is.  So the choice at
-    every prefix, and the returned GHD, are those of the unpruned search.
+    Most bags are priced without the simplex.  Each bag first gets the
+    bracket lo <= cost <= hi of ``cover_bracket`` (a uniform packing below,
+    a greedy integral cover above), and v is
+      * skipped once the prefix without v, or lo, already reaches the
+        incumbent: v's cost could at best tie it, and a tie goes to the
+        earlier vertex, which the incumbent is;
+      * given the prefix's width when hi does not exceed it, which is then
+        exactly the max;
+      * otherwise priced by the LP, whose value replaces both bounds (when
+        lo == hi the value is already known and no LP runs).
+    Every cost these rules settle, and every comparison they skip, comes
+    out as in the search that prices every bag by the LP, so the choice at
+    every prefix set, and the returned GHD, are that search's.  In data mode
+    the bracket is widened by a slack larger than float rounding, so a
+    rounded bound never settles a comparison the LP's own value would not.
     """
     verts = sorted(h.vertices)
     n = len(verts)
@@ -503,58 +515,59 @@ def optimal_ghd(
     if cost_edges is None:
         cost_edges = cost_edges_for(h, sizes, mode)
     exact = mode == "unit"
-    index = {v: i for i, v in enumerate(verts)}
+    bit = {v: 1 << i for i, v in enumerate(verts)}
     adj = [0] * n
     for e in h.edges:
+        attrs = sum(bit[a] for a in e.attrs)
         for a in e.attrs:
-            for b in e.attrs:
-                if a != b:
-                    adj[index[a]] |= 1 << index[b]
+            adj[bit[a].bit_length() - 1] |= attrs & ~bit[a]
+    edge_masks = [(m, c) for attrs, c in cost_edges if (m := sum(bit.get(a, 0) for a in attrs))]
 
-    bag_cost_cache: dict[frozenset[str], Any] = {}
+    def attrs_of(bag: int) -> frozenset[str]:
+        return frozenset(verts[w] for w in range(n) if bag >> w & 1)
 
-    def bag_cost(bag: frozenset[str]):
-        if bag not in bag_cost_cache:
-            bag_cost_cache[bag] = fractional_cover_value(bag, cost_edges, exact)
-        return bag_cost_cache[bag]
-
-    def bag_of(v: int, eliminated: int) -> frozenset[str]:
+    def bag_of(v: int, eliminated: int) -> int:
         # v plus every vertex reachable from it through eliminated vertices
-        reached = 1 << v
-        stack = [v]
-        collected = 0
-        while stack:
-            u = stack.pop()
-            for w in range(n):
-                bit = 1 << w
-                if adj[u] & bit and not reached & bit:
-                    reached |= bit
-                    if eliminated & bit:
-                        stack.append(w)
-                    else:
-                        collected |= bit
-        return frozenset(verts[w] for w in range(n) if collected & (1 << w)) | {verts[v]}
+        reached = frontier = 1 << v
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & ~reached
+            reached |= new
+            frontier |= new & eliminated
+        return reached & ~eliminated
 
+    brackets: dict[int, tuple] = {}  # bag -> (lo, hi); lo == hi once exact
     zero = Fraction(0) if exact else 0.0
     best: dict[int, Any] = {0: zero}
     choice: dict[int, int] = {}
     masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
     for mask in range(1 << n):
-        masks_by_size[bin(mask).count("1")].append(mask)
+        masks_by_size[mask.bit_count()].append(mask)
     for size in range(1, n + 1):
         for mask in masks_by_size[size]:
             best_cost, best_v = None, None
             for v in range(n):
-                bit = 1 << v
-                if not mask & bit:
+                if not mask >> v & 1:
                     continue
-                rest = mask ^ bit
-                if best_cost is not None and best[rest] >= best_cost:
+                below = best[mask ^ (1 << v)]
+                if best_cost is not None and below >= best_cost:
                     continue  # cannot beat the incumbent, nor win its tie
-                cost = max(best[rest], bag_cost(bag_of(v, rest)))
-                if best_cost is None or cost < best_cost or (
-                    cost == best_cost and verts[v] < verts[best_v]
-                ):
+                bag = bag_of(v, mask ^ (1 << v))
+                bounds = brackets.get(bag)
+                if bounds is None:
+                    bounds = brackets[bag] = cover_bracket(bag, edge_masks, exact)
+                lo, hi = bounds
+                if best_cost is not None and lo >= best_cost:
+                    continue  # the same tie argument, on the bag's lower bound
+                if hi <= below:
+                    cost = below
+                else:
+                    if lo != hi:
+                        lo = fractional_cover_value(attrs_of(bag), cost_edges, exact)
+                        brackets[bag] = lo, lo
+                    cost = max(below, lo)
+                if best_cost is None or cost < best_cost:
                     best_cost, best_v = cost, v
             best[mask] = best_cost
             choice[mask] = best_v
@@ -570,7 +583,7 @@ def optimal_ghd(
     bags: list[frozenset[str]] = []
     eliminated = 0
     for v in order:
-        bags.append(bag_of(v, eliminated))
+        bags.append(attrs_of(bag_of(v, eliminated)))
         eliminated |= 1 << v
     position = {verts[v]: i for i, v in enumerate(order)}
 

@@ -6,7 +6,8 @@ Unit-cost mode pivots fraction-free (Bareiss/Edmonds): the tableau stays in
 integers over one common denominator, every division is exact, and the
 optimum comes back as a Fraction, so widths compare bit-exactly.  Data-aware
 mode runs over floats with a fixed tolerance.  Both modes pivot by Bland's
-rule, which prevents cycling.
+rule, which prevents cycling.  ``cover_bracket`` bounds the optimum from
+both sides without pivoting, so a caller can often do without it.
 """
 
 from __future__ import annotations
@@ -121,18 +122,64 @@ def _maximize_exact(objective: Sequence, rows: Sequence[Sequence], rhs: Sequence
     raise InternalError("simplex failed to converge")
 
 
-def _implied(k: int, rows: Sequence[tuple[frozenset[str], object]]) -> bool:
-    """Whether packing row k follows from another row.
+def _unimplied(rows: Sequence[tuple[frozenset[str], object]]) -> list:
+    """The packing rows no other row implies, in their input order.
 
     Row j implies row k when its attributes include k's and its cost is no
-    larger; of two identical rows the first is kept.
+    larger; of two identical rows the first is kept.  So of the rows with
+    one attribute set only the first of least cost can stay, and it stays
+    unless a strictly larger set costs no more.
     """
-    attrs, cost = rows[k]
-    return any(
-        j != k and attrs <= other and other_cost <= cost
-        and (j < k or other != attrs or other_cost != cost)
-        for j, (other, other_cost) in enumerate(rows)
-    )
+    cheapest: dict[frozenset[str], int] = {}  # attribute set -> kept row
+    for k, (attrs, cost) in enumerate(rows):
+        j = cheapest.get(attrs)
+        if j is None or cost < rows[j][1]:
+            cheapest[attrs] = k
+    kept = [
+        k for attrs, k in cheapest.items()
+        if not any(attrs < other and rows[j][1] <= rows[k][1] for other, j in cheapest.items())
+    ]
+    kept.sort()
+    return [rows[k] for k in kept]
+
+
+def cover_bracket(bag: int, edges: Sequence[tuple[int, object]], exact: bool):
+    """(lo, hi) with lo <= fractional_cover_value(bag) <= hi, without the simplex.
+
+    The bag and the edges' attribute sets are bitmasks over one numbering of
+    the attributes.  lo is the uniform packing: each bag attribute gets
+    min_e c_e / |e ∩ bag|, which fills no edge's packing row past its cost, so
+    it is dual-feasible.  hi is a greedy integral cover, each step taking the
+    edge that covers the most uncovered attributes per unit of cost; being
+    primal-feasible, it costs at least the optimum.  Exact mode returns exact
+    numbers (lo == hi then settles the value); in data mode the bracket is
+    widened by a 1e-9 slack so that rounding here or in the float simplex
+    never puts the LP's value outside it.
+    """
+    meets = [(e & bag, c) for e, c in edges if e & bag]
+    hi, left = 0, bag
+    while left:
+        pick, pick_new, pick_cost = 0, 0, 0
+        for e, c in meets:
+            new = (e & left).bit_count()
+            if new * pick_cost > pick_new * c or (new and not pick_new):
+                pick, pick_new, pick_cost = e, new, c
+        if not pick:
+            raise InternalError("a bag attribute lies in no edge")
+        hi += pick_cost
+        left &= ~pick
+    # the least c_e / |e ∩ bag|, compared by cross-multiplying
+    c_min, k_min = meets[0][1], meets[0][0].bit_count()
+    for e, c in meets:
+        k = e.bit_count()
+        if c * k_min < c_min * k:
+            c_min, k_min = c, k
+    size = bag.bit_count()
+    lo = Fraction(c_min * size, k_min) if exact else c_min * size / k_min
+    if exact:
+        return lo, hi
+    slack = 1e-9 * max(1.0, hi)
+    return lo - slack, hi + slack
 
 
 def fractional_cover_value(
@@ -154,7 +201,7 @@ def fractional_cover_value(
     covered = set().union(*(e for e, _ in useful)) if useful else set()
     if covered != bag:
         raise InternalError(f"attributes {bag - covered} not covered by any edge")
-    useful = [useful[k] for k in range(len(useful)) if not _implied(k, useful)]
+    useful = _unimplied(useful)
     objective = [1] * len(attrs)
     rows = [[1 if a in e else 0 for a in attrs] for e, _ in useful]
     rhs = [c for _, c in useful]

@@ -36,6 +36,7 @@ from ajar.oracle import exhaustive_valid_ghds
 from ajar.ordering import test_equivalence as is_equivalent
 from conftest import ordering, random_query
 from normalization import is_subtree_connected, is_top_unique, normalize_decomposable
+from reference_ghd import unpruned_optimal_ghd
 
 
 @pytest.fixture
@@ -340,6 +341,40 @@ class TestOptimalGhd:
             g = optimal_ghd(h, sizes=sizes, mode=mode)
             assert is_ghd(h, g)
             assert width(g, h, sizes, mode).width == best
+
+
+class TestOptimalGhdPlanIdentity:
+    @pytest.mark.parametrize("mode", ["unit", "data"])
+    def test_same_ghd_as_the_unpruned_search(self, mode):
+        # bags, tree shape and root, not only the width, as the planner
+        # executes this very tree; half the cases price bags against edges
+        # reaching past the hypergraph, as a part's cost edges do, and
+        # repeated sizes (1 costs nothing) make data-mode costs tie
+        rng = random.Random(f"plan-identity:{mode}")
+        for case in range(120):
+            n = 1 + case % 9
+            attrs = [f"X{i}" for i in range(n)]
+            edges = [
+                (f"E{j}", tuple(rng.sample(attrs, rng.randint(1, min(4, n)))))
+                for j in range(rng.randint(1, 2 * n))
+            ]
+            edges += [(f"U{a}", (a,)) for a in attrs if all(a not in e for _, e in edges)]
+            h = Hypergraph.build(edges)
+            wider = edges
+            if case % 2:
+                wider = [
+                    (name, e + tuple(f"Y{k}" for k in range(rng.randint(0, 2))))
+                    for name, e in edges
+                ]
+            sizes = {name: rng.choice((1, 2, 10, rng.randint(1, 300))) for name, _ in edges}
+            cost = cost_edges_for(Hypergraph.build(wider), sizes, mode)
+            got = optimal_ghd(h, mode=mode, cost_edges=cost)
+            want = unpruned_optimal_ghd(h, mode=mode, cost_edges=cost)
+            assert (got.root, got.parent, got.chi) == (want.root, want.parent, want.chi), (
+                mode,
+                case,
+                edges,
+            )
 
 
 class TestNormalizeDecomposable:

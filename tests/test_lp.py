@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ajar.errors import InternalError
-from ajar.lp import fractional_cover_value
+from ajar.lp import _unimplied, cover_bracket, fractional_cover_value
 
 
 def bag(*attrs):
@@ -147,3 +147,69 @@ def test_random_cover_lps_match_vertex_enumeration():
         assert exact == _cover_by_vertex_enumeration(target, cost)
         approx = fractional_cover_value(target, [(e, float(c)) for e, c in cost], exact=False)
         assert abs(approx - exact) <= 1e-9
+
+
+def test_cover_bracket_holds_the_lp_value():
+    # lo <= LP <= hi on random bags and edges, unit and data mode; exact
+    # mode's bounds are exact numbers and data mode's sit within the slack
+    rng = random.Random(43)
+    for trial in range(400):
+        k = rng.randint(1, 7)
+        names = [chr(ord("A") + i) for i in range(k)]
+        unit = trial % 2 == 0
+        cost = [
+            (frozenset(rng.sample(names, rng.randint(1, min(4, k)))), 1 if unit else rng.randint(0, 9))
+            for _ in range(rng.randint(1, 9))
+        ]
+        covered = sorted(set().union(*(e for e, _ in cost)))
+        target = frozenset(rng.sample(covered, rng.randint(1, len(covered))))
+        bit = {a: 1 << i for i, a in enumerate(names)}
+        masks = [(sum(bit[a] for a in e), c) for e, c in cost]
+        target_mask = sum(bit[a] for a in target)
+        value = fractional_cover_value(target, cost, exact=True)
+        exact_lo, hi = cover_bracket(target_mask, masks, exact=True)
+        assert isinstance(exact_lo, Fraction) and isinstance(hi, int), (cost, target)
+        assert exact_lo <= value <= hi, (cost, target, exact_lo, value, hi)
+        approx = fractional_cover_value(target, [(e, c / 7) for e, c in cost], exact=False)
+        lo, hi = cover_bracket(target_mask, [(m, c / 7) for m, c in masks], exact=False)
+        assert lo < approx < hi, (cost, target, lo, approx, hi)
+        assert 0 < exact_lo / 7 - lo <= 1e-8, (cost, target)
+
+
+def test_cover_bracket_is_tight_on_single_edges_and_the_triangle():
+    # a bag inside one edge costs that edge; the triangle's packing is 3/2
+    # but a greedy integral cover takes two edges
+    ab, bc, ca = 0b011, 0b110, 0b101
+    assert cover_bracket(ab, [(ab, 1), (bc, 1)], exact=True) == (1, 1)
+    assert cover_bracket(0b111, [(ab, 1), (bc, 1), (ca, 1)], exact=True) == (Fraction(3, 2), 2)
+
+
+def test_cover_bracket_uncovered_attribute_is_internal_error():
+    with pytest.raises(InternalError):
+        cover_bracket(0b11, [(0b01, 1)], exact=True)
+    with pytest.raises(InternalError):
+        cover_bracket(0b10, [(0b01, 1)], exact=False)
+
+
+def test_unimplied_keeps_the_rows_no_other_row_implies():
+    # row j implies row k when its set holds k's at no larger cost; of two
+    # identical rows the first stays; the survivors keep their order
+    def implied(k, rows):
+        attrs, cost = rows[k]
+        return any(
+            j != k and attrs <= other and other_cost <= cost
+            and (j < k or other != attrs or other_cost != cost)
+            for j, (other, other_cost) in enumerate(rows)
+        )
+
+    rng = random.Random(47)
+    for trial in range(300):
+        names = "ABCD"[: rng.randint(1, 4)]
+        rows = [
+            (frozenset(rng.sample(names, rng.randint(1, len(names)))), rng.choice((1, 2, 3)))
+            for _ in range(rng.randint(1, 10))
+        ]
+        if trial % 2:
+            rows = [(e, c / 3) for e, c in rows]
+        want = [row for k, row in enumerate(rows) if not implied(k, rows)]
+        assert _unimplied(rows) == want, rows

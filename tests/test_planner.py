@@ -179,6 +179,33 @@ class TestPlan:
                 )
                 assert got == want, (trial, alpha.items, edges)
 
+    def test_circulant_plan_settles_most_bags_without_the_lp(self, monkeypatch):
+        # C9(1,2) with every attribute summed, names and atom order drawn as
+        # the benchmark's seed-1 query draws them: its elimination DP meets
+        # 283 distinct bags, and the packing/cover bracket settles all but
+        # about 100 of them, so planning solves at most 150 cover LPs
+        from ajar import ghd
+
+        rng = random.Random("plan_circulant:1")
+        labels = rng.sample(range(100, 1000), 9)
+        atoms = [(i, (i + step) % 9) for i in range(9) for step in (1, 2)]
+        rng.shuffle(atoms)
+        h = Hypergraph.build(
+            [(f"R{k}", (f"V{labels[a]}", f"V{labels[b]}")) for k, (a, b) in enumerate(atoms)]
+        )
+        rng.shuffle(labels)
+        calls = []
+        original = ghd.fractional_cover_value
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ghd, "fractional_cover_value", spy)
+        p = plan(h, ordering(*[(f"V{label}", "sum") for label in labels]))
+        assert p.width == Fraction(5, 2)
+        assert len(calls) <= 150, len(calls)
+
 
 class TestContraction:
     def test_contracted_plans_stay_valid_and_exact(self):

@@ -302,6 +302,21 @@ class TestCli:
         with out.open(newline="") as fh:
             assert list(csv.reader(io.StringIO(printed))) == list(csv.reader(fh))
 
+    def test_closure_stdout_quotes_a_carriage_return(self, tmp_path, capsys):
+        # a bare "\r" in a key is quoted on stdout too, so the printed text
+        # parses back into the --out file's rows
+        edges = tmp_path / "edges.csv"
+        edges.write_bytes(b'S,D,__annotation\n"a\rb","a\rb",0\n')
+        assert main(["closure", str(edges)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == 'S,D,__annotation\n"a\rb","a\rb",0\n'
+        out = tmp_path / "out.csv"
+        assert main(["closure", str(edges), "--out", str(out)]) == 0
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["S", "D", "__annotation"], ["a\rb", "a\rb", "0"]]
+        assert list(csv.reader(io.StringIO(printed, newline=""))) == rows
+
     def test_closure_dag_without_self_loops_exit_code(self, tmp_path, capsys):
         # 2^k-step walks die out on a DAG; without self-loops the result was empty
         csv = tmp_path / "edges.csv"
