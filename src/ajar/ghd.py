@@ -15,7 +15,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from .errors import InternalError, QueryError
 from .hypergraph import Edge, Hypergraph, connected_components
-from .lp import cover_bracket, fractional_cover_value
+from .lp import cover_bracket, fractional_cover_value, graph_cover_value
 from .ordering import AggregationOrdering, PrecedenceRelation, commute_block
 from .semirings import PRODUCT, log_cost
 
@@ -490,9 +490,11 @@ def optimal_ghd(
     and the first of least cost, max(width of the prefix without v, cost of
     v's bag), wins.
 
-    Most bags are priced without the simplex.  Each bag first gets the
-    bracket lo <= cost <= hi of ``cover_bracket`` (a uniform packing below,
-    a greedy integral cover above), and v is
+    Most bags are priced without the simplex.  In unit mode a bag whose
+    edges meet it in at most two attributes gets lo == hi from the matching
+    of ``graph_cover_value``; every other bag gets the bracket lo <= cost
+    <= hi of ``cover_bracket`` (a uniform packing below, a greedy integral
+    cover above), and v is
       * skipped once the prefix without v, or lo, already reaches the
         incumbent: v's cost could at best tie it, and a tie goes to the
         earlier vertex, which the incumbent is;
@@ -556,7 +558,9 @@ def optimal_ghd(
                 bag = bag_of(v, mask ^ (1 << v))
                 bounds = brackets.get(bag)
                 if bounds is None:
-                    bounds = brackets[bag] = cover_bracket(bag, edge_masks, exact)
+                    value = graph_cover_value(bag, edge_masks) if exact else None
+                    bounds = (value, value) if value is not None else cover_bracket(bag, edge_masks, exact)
+                    brackets[bag] = bounds
                 lo, hi = bounds
                 if best_cost is not None and lo >= best_cost:
                     continue  # the same tie argument, on the bag's lower bound

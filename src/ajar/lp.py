@@ -7,7 +7,8 @@ integers over one common denominator, every division is exact, and the
 optimum comes back as a Fraction, so widths compare bit-exactly.  Data-aware
 mode runs over floats with a fixed tolerance.  Both modes pivot by Bland's
 rule, which prevents cycling.  ``cover_bracket`` bounds the optimum from
-both sides without pivoting, so a caller can often do without it.
+both sides without pivoting, and ``graph_cover_value`` gives it exactly for
+unit-cost edges meeting the bag in at most two attributes.
 """
 
 from __future__ import annotations
@@ -156,6 +157,8 @@ def cover_bracket(bag: int, edges: Sequence[tuple[int, object]], exact: bool):
     widened by a 1e-9 slack so that rounding here or in the float simplex
     never puts the LP's value outside it.
     """
+    if not bag:
+        return (Fraction(0), Fraction(0)) if exact else (0.0, 0.0)
     meets = [(e & bag, c) for e, c in edges if e & bag]
     hi, left = 0, bag
     while left:
@@ -180,6 +183,44 @@ def cover_bracket(bag: int, edges: Sequence[tuple[int, object]], exact: bool):
         return lo, hi
     slack = 1e-9 * max(1.0, hi)
     return lo - slack, hi + slack
+
+
+def graph_cover_value(bag: int, edges: Sequence[tuple[int, object]]) -> Fraction | None:
+    """The exact cover value when every edge meeting the bag costs 1 and
+    meets it in one or two attributes (and they cover it), else None.
+
+    By the fractional Gallai identity it is |B| − M/2, M a maximum matching
+    (found by augmenting paths) of the bipartite double cover of the graph
+    the edges draw on B; an attribute only singletons cover stays unmatched.
+    """
+    nbr: dict[int, int] = {}  # attribute bit -> its neighbours' bits
+    covered = 0
+    for e, c in edges:
+        if m := e & bag:
+            if c != 1 or m.bit_count() > 2:
+                return None
+            covered |= m
+            if (u := m & -m) != m:
+                nbr[u] = nbr.get(u, 0) | m ^ u
+                nbr[m ^ u] = nbr.get(m ^ u, 0) | u
+    if covered != bag:
+        return None
+    mate: dict[int, int] = {}  # right copy -> the left copy matched to it
+
+    def augment(u: int) -> bool:
+        nonlocal seen
+        while free := nbr[u] & ~seen:
+            seen |= (v := free & -free)
+            if v not in mate or augment(mate[v]):
+                mate[v] = u
+                return True
+        return False
+
+    matched = 0
+    for u in nbr:
+        seen = 0
+        matched += augment(u)
+    return Fraction(2 * bag.bit_count() - matched, 2)
 
 
 def fractional_cover_value(

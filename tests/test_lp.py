@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ajar.errors import InternalError
-from ajar.lp import _unimplied, cover_bracket, fractional_cover_value
+from ajar.lp import _unimplied, cover_bracket, fractional_cover_value, graph_cover_value
 
 
 def bag(*attrs):
@@ -184,6 +184,14 @@ def test_cover_bracket_is_tight_on_single_edges_and_the_triangle():
     assert cover_bracket(0b111, [(ab, 1), (bc, 1), (ca, 1)], exact=True) == (Fraction(3, 2), 2)
 
 
+def test_cover_bracket_of_an_empty_bag_is_zero():
+    # as fractional_cover_value prices an empty bag, with no edge to read
+    assert cover_bracket(0, [(0b01, 1)], exact=True) == (0, 0)
+    assert cover_bracket(0, [], exact=True) == (0, 0)
+    lo, hi = cover_bracket(0, [(0b01, 0.5)], exact=False)
+    assert (lo, hi) == (0.0, 0.0) and isinstance(lo, float)
+
+
 def test_cover_bracket_uncovered_attribute_is_internal_error():
     with pytest.raises(InternalError):
         cover_bracket(0b11, [(0b01, 1)], exact=True)
@@ -213,3 +221,88 @@ def test_unimplied_keeps_the_rows_no_other_row_implies():
             rows = [(e, c / 3) for e, c in rows]
         want = [row for k, row in enumerate(rows) if not implied(k, rows)]
         assert _unimplied(rows) == want, rows
+
+
+def _masks(pairs):
+    # edges as bitmasks over A=bit 0, B=bit 1, ...
+    return [(sum(1 << (ord(a) - ord("A")) for a in attrs), cost) for attrs, cost in pairs]
+
+
+class TestGraphCoverValue:
+    @pytest.mark.parametrize(
+        "pairs,value",
+        [
+            ((("AB", 1), ("BC", 1), ("CA", 1)), Fraction(3, 2)),  # triangle
+            ((("AB", 1), ("BC", 1)), 2),  # 3-vertex path
+            ((("AB", 1), ("BC", 1), ("CD", 1), ("DE", 1), ("EA", 1)), Fraction(5, 2)),  # C5
+            ((("AB", 1), ("AC", 1), ("AD", 1)), 3),  # star K1,3
+            ((("A", 1),), 1),  # single vertex
+        ],
+    )
+    def test_named_graphs(self, pairs, value):
+        masks = _masks(pairs)
+        whole = 0
+        for m, _ in masks:
+            whole |= m
+        got = graph_cover_value(whole, masks)
+        assert got == value and isinstance(got, Fraction)
+        assert got == fractional_cover_value(bag(*"ABCDE"[: whole.bit_length()]), edges(*pairs), exact=True)
+
+    def test_an_odd_cycle_is_not_priced_by_an_integral_matching(self):
+        # a triangle plus D, covered by a singleton: the graph matches one
+        # edge (4 - 1 = 3), its double cover all three left copies
+        # (4 - 3/2); a pendant F on C5 makes C5 + F integral (6 - 3)
+        masks = _masks((("AB", 1), ("BC", 1), ("CA", 1), ("D", 1)))
+        assert graph_cover_value(0b1111, masks) == Fraction(5, 2)
+        masks = _masks((("AB", 1), ("BC", 1), ("CD", 1), ("DE", 1), ("EA", 1), ("AF", 1)))
+        assert graph_cover_value(0b111111, masks) == 3
+        assert graph_cover_value(0b011111, masks) == Fraction(5, 2)
+
+    def test_edges_are_read_through_their_restriction_to_the_bag(self):
+        # a ternary edge meeting the bag in two attributes is one graph edge
+        masks = _masks((("ABD", 1), ("BC", 1), ("CA", 1)))
+        assert graph_cover_value(0b0111, masks) == Fraction(3, 2)
+        assert graph_cover_value(0, masks) == 0
+
+    def test_none_off_its_class(self):
+        # an edge meeting the bag in three attributes, or one costing other
+        # than 1, leaves the bag to the simplex
+        assert graph_cover_value(0b111, _masks((("ABC", 1),))) is None
+        assert graph_cover_value(0b111, _masks((("AB", 1), ("BC", 1), ("ABC", 1)))) is None
+        assert graph_cover_value(0b111, _masks((("AB", 2), ("BC", 1), ("CA", 1)))) is None
+        assert graph_cover_value(0b111, _masks((("AB", 0.5), ("BC", 1), ("CA", 1)))) is None
+        assert graph_cover_value(0b11, _masks((("AB", 1), ("BC", 2)))) is None
+
+    def test_uncovered_bag_is_left_to_the_simplex(self):
+        assert graph_cover_value(0b11, _masks((("A", 1),))) is None
+
+    def test_matches_the_simplex_on_random_bags(self):
+        # bags over at most 10 attributes whose edges meet them in one or two
+        # attributes (a third may lie outside), some attributes covered only
+        # by singletons
+        rng = random.Random(47)
+        lonely_seen = 0
+        for _ in range(2000):
+            k = rng.randint(1, 10)
+            names = [chr(ord("A") + i) for i in range(k)]
+            target = rng.sample(names, rng.randint(1, k))
+            lonely = set(rng.sample(target, rng.randint(0, min(2, len(target)))))
+            paired = [a for a in names if a not in lonely]
+            cost = []
+            for _ in range(rng.randint(0, 2 * k)):
+                if len(paired) < 2:
+                    break
+                e = set(rng.sample(paired, 2))
+                outside = [a for a in names if a not in target and a not in e]
+                if outside and rng.random() < 0.2:
+                    e.add(rng.choice(outside))
+                cost.append((frozenset(e), 1))
+            covered = set().union(*(e for e, _ in cost))
+            cost += [(frozenset((a,)), 1) for a in target if a not in covered or rng.random() < 0.1]
+            lonely_seen += any(all(a not in e or len(e) == 1 for e, _ in cost) for a in target)
+            bit = {a: 1 << i for i, a in enumerate(names)}
+            masks = [(sum(bit[a] for a in e), c) for e, c in cost]
+            got = graph_cover_value(sum(bit[a] for a in target), masks)
+            want = fractional_cover_value(frozenset(target), cost, exact=True)
+            assert got == want, (cost, target)
+        assert lonely_seen > 500

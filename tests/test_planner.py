@@ -182,8 +182,8 @@ class TestPlan:
     def test_circulant_plan_settles_most_bags_without_the_lp(self, monkeypatch):
         # C9(1,2) with every attribute summed, names and atom order drawn as
         # the benchmark's seed-1 query draws them: its elimination DP meets
-        # 283 distinct bags, and the packing/cover bracket settles all but
-        # about 100 of them, so planning solves at most 150 cover LPs
+        # 283 distinct bags, all over binary edges, which it prices by a
+        # matching without the LP, so planning solves at most 150 cover LPs
         from ajar import ghd
 
         rng = random.Random("plan_circulant:1")
@@ -205,6 +205,52 @@ class TestPlan:
         p = plan(h, ordering(*[(f"V{label}", "sum") for label in labels]))
         assert p.width == Fraction(5, 2)
         assert len(calls) <= 150, len(calls)
+
+    @pytest.mark.parametrize("n,seed", [(9, "plan_circulant:1"), (12, "circulant:12")])
+    def test_circulant_elimination_dp_solves_no_lp(self, monkeypatch, n, seed):
+        # every bag of C_n(1,2) meets its edges in at most two attributes at
+        # unit cost, so the DP prices it by a matching: no simplex runs in
+        # optimal_ghd, and plan() solves only width()'s LPs; C9 is the
+        # benchmark's seed-1 query, C12 sits at the cap
+        from ajar import ghd
+
+        rng = random.Random(seed)
+        labels = rng.sample(range(100, 1000), n)
+        atoms = [(i, (i + step) % n) for i in range(n) for step in (1, 2)]
+        rng.shuffle(atoms)
+        h = Hypergraph.build(
+            [(f"R{k}", (f"V{labels[a]}", f"V{labels[b]}")) for k, (a, b) in enumerate(atoms)]
+        )
+        rng.shuffle(labels)
+        calls = []
+        original = ghd.fractional_cover_value
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ghd, "fractional_cover_value", spy)
+        g = optimal_ghd(h)
+        assert calls == []
+        assert ghd.width(g, h).width == Fraction(5, 2)
+        calls.clear()
+        p = plan(h, ordering(*[(f"V{label}", "sum") for label in labels]))
+        assert p.width == Fraction(5, 2)
+        assert len(calls) <= 12, len(calls)
+
+    def test_data_mode_never_prices_by_the_matching(self, monkeypatch):
+        # data-mode costs are floats, priced by the bracket and the LP even
+        # when every edge costs 1.0
+        from ajar import ghd
+
+        def refuse(*args):
+            raise AssertionError("graph_cover_value called in data mode")
+
+        monkeypatch.setattr(ghd, "graph_cover_value", refuse)
+        h = Hypergraph.build([(f"R{i}", (f"A{i}", f"A{(i + 1) % 5}")) for i in range(5)])
+        for cost in (1.0, 0.5):
+            g = optimal_ghd(h, mode="data", cost_edges=[(e.attrs, cost) for e in h.edges])
+            assert is_ghd(h, g)
 
 
 class TestContraction:
