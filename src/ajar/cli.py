@@ -73,7 +73,7 @@ def cmd_plan(args) -> int:
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
-    print(f"width: {payload['width']}")
+    print(f"width: {result.width}")
     print(f"parts: {len(result.part_hypergraphs)}")
     if not args.out:
         print(text)

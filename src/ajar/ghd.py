@@ -15,7 +15,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from .errors import InternalError, QueryError
 from .hypergraph import Edge, Hypergraph, connected_components
-from .lp import cover_bracket, fractional_cover_value, graph_cover_value
+from .lp import cover_bracket, fractional_cover_value, graph_cover_pricer
 from .ordering import AggregationOrdering, PrecedenceRelation, commute_block
 from .semirings import PRODUCT, log_cost
 
@@ -490,11 +490,13 @@ def optimal_ghd(
     and the first of least cost, max(width of the prefix without v, cost of
     v's bag), wins.
 
-    Most bags are priced without the simplex.  In unit mode a bag whose
-    edges meet it in at most two attributes gets lo == hi from the matching
-    of ``graph_cover_value``; every other bag gets the bracket lo <= cost
-    <= hi of ``cover_bracket`` (a uniform packing below, a greedy integral
-    cover above), and v is
+    Unit mode keeps every cost doubled and exact: a bag whose edges meet it
+    in at most two attributes costs the int 2|B| − M of the matching in
+    ``graph_cover_pricer`` (lo == hi), other bounds and LP values are doubled
+    Fractions, and ints compare with Fractions exactly, so doubling changes
+    no comparison.  A bag the matching does not price gets the bracket lo
+    <= cost <= hi of ``cover_bracket`` (a uniform packing below, a greedy
+    integral cover above), and v is
       * skipped once the prefix without v, or lo, already reaches the
         incumbent: v's cost could at best tie it, and a tie goes to the
         earlier vertex, which the incumbent is;
@@ -539,42 +541,42 @@ def optimal_ghd(
             frontier |= new & eliminated
         return reached & ~eliminated
 
-    brackets: dict[int, tuple] = {}  # bag -> (lo, hi); lo == hi once exact
-    zero = Fraction(0) if exact else 0.0
-    best: dict[int, Any] = {0: zero}
+    price = graph_cover_pricer(edge_masks) if exact else None
+    scale = 2 if exact else 1  # unit mode keeps every cost doubled
+    brackets: dict[int, tuple] = {}  # bag -> (lo, hi), scaled; lo == hi once exact
+    best: dict[int, Any] = {0: 0}
     choice: dict[int, int] = {}
-    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        masks_by_size[mask.bit_count()].append(mask)
-    for size in range(1, n + 1):
-        for mask in masks_by_size[size]:
-            best_cost, best_v = None, None
-            for v in range(n):
-                if not mask >> v & 1:
-                    continue
-                below = best[mask ^ (1 << v)]
-                if best_cost is not None and below >= best_cost:
-                    continue  # cannot beat the incumbent, nor win its tie
-                bag = bag_of(v, mask ^ (1 << v))
-                bounds = brackets.get(bag)
-                if bounds is None:
-                    value = graph_cover_value(bag, edge_masks) if exact else None
-                    bounds = (value, value) if value is not None else cover_bracket(bag, edge_masks, exact)
-                    brackets[bag] = bounds
-                lo, hi = bounds
-                if best_cost is not None and lo >= best_cost:
-                    continue  # the same tie argument, on the bag's lower bound
-                if hi <= below:
-                    cost = below
+    for mask in sorted(range(1, 1 << n), key=int.bit_count):  # subsets first
+        best_cost, best_v = None, None
+        for v in range(n):
+            if not mask >> v & 1:
+                continue
+            below = best[mask ^ (1 << v)]
+            if best_cost is not None and below >= best_cost:
+                continue  # cannot beat the incumbent, nor win its tie
+            bag = bag_of(v, mask ^ (1 << v))
+            if (bounds := brackets.get(bag)) is None:
+                value = price(bag) if exact else None
+                if value is None:
+                    lo, hi = cover_bracket(bag, edge_masks, exact)
+                    bounds = (scale * lo, scale * hi)
                 else:
-                    if lo != hi:
-                        lo = fractional_cover_value(attrs_of(bag), cost_edges, exact)
-                        brackets[bag] = lo, lo
-                    cost = max(below, lo)
-                if best_cost is None or cost < best_cost:
-                    best_cost, best_v = cost, v
-            best[mask] = best_cost
-            choice[mask] = best_v
+                    bounds = (value, value)
+                brackets[bag] = bounds
+            lo, hi = bounds
+            if best_cost is not None and lo >= best_cost:
+                continue  # the same tie argument, on the bag's lower bound
+            if hi <= below:
+                cost = below
+            else:
+                if lo != hi:
+                    lo = scale * fractional_cover_value(attrs_of(bag), cost_edges, exact)
+                    brackets[bag] = lo, lo
+                cost = max(below, lo)
+            if best_cost is None or cost < best_cost:
+                best_cost, best_v = cost, v
+        best[mask] = best_cost
+        choice[mask] = best_v
 
     order: list[int] = []
     mask = (1 << n) - 1

@@ -7,8 +7,9 @@ integers over one common denominator, every division is exact, and the
 optimum comes back as a Fraction, so widths compare bit-exactly.  Data-aware
 mode runs over floats with a fixed tolerance.  Both modes pivot by Bland's
 rule, which prevents cycling.  ``cover_bracket`` bounds the optimum from
-both sides without pivoting, and ``graph_cover_value`` gives it exactly for
-unit-cost edges meeting the bag in at most two attributes.
+both sides without pivoting, and ``graph_cover_pricer`` gives it exactly,
+doubled to an int, for unit-cost edges meeting the bag in at most two
+attributes.
 """
 
 from __future__ import annotations
@@ -185,42 +186,59 @@ def cover_bracket(bag: int, edges: Sequence[tuple[int, object]], exact: bool):
     return lo - slack, hi + slack
 
 
-def graph_cover_value(bag: int, edges: Sequence[tuple[int, object]]) -> Fraction | None:
-    """The exact cover value when every edge meeting the bag costs 1 and
-    meets it in one or two attributes (and they cover it), else None.
-
-    By the fractional Gallai identity it is |B| − M/2, M a maximum matching
-    (found by augmenting paths) of the bipartite double cover of the graph
-    the edges draw on B; an attribute only singletons cover stays unmatched.
-    """
-    nbr: dict[int, int] = {}  # attribute bit -> its neighbours' bits
-    covered = 0
+def graph_cover_pricer(edges: Sequence[tuple[int, object]]):
+    """A function giving a bag twice its exact cover value, as an int, when
+    every edge meeting it costs 1 and meets it in one or two attributes that
+    cover it, else None: 2|B| − M by the fractional Gallai identity, M a
+    maximum matching of the bipartite double cover of the graph the edges
+    draw on B (an attribute only singletons cover stays unmatched)."""
+    nbr: dict[int, int] = {}  # attribute bit -> other ends of its unit binary edges
+    small = 0  # the attributes of unit edges of one or two attributes
+    other = []  # the edges each bag rescans
     for e, c in edges:
-        if m := e & bag:
-            if c != 1 or m.bit_count() > 2:
-                return None
-            covered |= m
-            if (u := m & -m) != m:
-                nbr[u] = nbr.get(u, 0) | m ^ u
-                nbr[m ^ u] = nbr.get(m ^ u, 0) | u
-    if covered != bag:
-        return None
-    mate: dict[int, int] = {}  # right copy -> the left copy matched to it
+        if c == 1 and e.bit_count() <= 2:
+            small |= e
+            _link(nbr, e)
+        else:
+            other.append((e, c))
 
-    def augment(u: int) -> bool:
-        nonlocal seen
-        while free := nbr[u] & ~seen:
-            seen |= (v := free & -free)
-            if v not in mate or augment(mate[v]):
-                mate[v] = u
-                return True
-        return False
+    def doubled_value(bag: int) -> int | None:
+        adj = {u: near for u, ends in nbr.items() if u & bag and (near := ends & bag)}
+        covered = small
+        for e, c in other:
+            if m := e & bag:
+                if c != 1 or m.bit_count() > 2:
+                    return None
+                covered |= m
+                _link(adj, m)
+        if bag & ~covered:
+            return None
+        mate: dict[int, int] = {}  # right copy -> the left copy matched to it
+        taken = 0  # the matched right copies, tried last
 
-    matched = 0
-    for u in nbr:
-        seen = 0
-        matched += augment(u)
-    return Fraction(2 * bag.bit_count() - matched, 2)
+        def augment(u: int) -> bool:
+            nonlocal seen, taken
+            while free := adj[u] & ~seen:
+                seen |= (v := (f := free & ~taken) & -f or free & -free)
+                if v not in mate or augment(mate[v]):
+                    mate[v] = u
+                    taken |= v
+                    return True
+            return False
+
+        for u in adj:
+            seen = 0
+            augment(u)
+        return 2 * bag.bit_count() - len(mate)
+
+    return doubled_value
+
+
+def _link(graph: dict[int, int], m: int) -> None:
+    """Make the two attributes of m neighbours in graph; one gets none."""
+    if (u := m & -m) != m:
+        graph[u] = graph.get(u, 0) | m ^ u
+        graph[m ^ u] = graph.get(m ^ u, 0) | u
 
 
 def fractional_cover_value(

@@ -376,6 +376,32 @@ class TestOptimalGhdPlanIdentity:
                 edges,
             )
 
+    def test_the_unit_sweep_mixes_matching_and_bracket_prices(self, monkeypatch):
+        # unit mode doubles every cost: matching prices are ints, bracket
+        # bounds Fractions, so the sweep compares the two only in the DPs
+        # that meet bags of both kinds
+        from ajar import ghd
+
+        priced = []  # per optimal_ghd call: [bags priced by the matching, by the bracket]
+        make = ghd.graph_cover_pricer
+
+        def counting_pricer(edges):
+            counts = [0, 0]
+            priced.append(counts)
+            price = make(edges)
+
+            def spy(bag):
+                value = price(bag)
+                counts[value is None] += 1
+                return value
+
+            return spy
+
+        monkeypatch.setattr(ghd, "graph_cover_pricer", counting_pricer)
+        self.test_same_ghd_as_the_unpruned_search("unit")
+        assert len(priced) == 120
+        assert sum(1 for matched, bracketed in priced if matched and bracketed) >= 60
+
 
 class TestNormalizeDecomposable:
     def test_already_decomposable_unchanged(self, chain_h):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ajar.errors import InternalError
-from ajar.lp import _unimplied, cover_bracket, fractional_cover_value, graph_cover_value
+from ajar.lp import _unimplied, cover_bracket, fractional_cover_value, graph_cover_pricer
 
 
 def bag(*attrs):
@@ -228,7 +228,12 @@ def _masks(pairs):
     return [(sum(1 << (ord(a) - ord("A")) for a in attrs), cost) for attrs, cost in pairs]
 
 
+def _doubled_cover(bag, pairs):
+    return graph_cover_pricer(_masks(pairs))(bag)
+
+
 class TestGraphCoverValue:
+    # the pricer returns twice the exact cover value, as an int
     @pytest.mark.parametrize(
         "pairs,value",
         [
@@ -244,42 +249,62 @@ class TestGraphCoverValue:
         whole = 0
         for m, _ in masks:
             whole |= m
-        got = graph_cover_value(whole, masks)
-        assert got == value and isinstance(got, Fraction)
-        assert got == fractional_cover_value(bag(*"ABCDE"[: whole.bit_length()]), edges(*pairs), exact=True)
+        got = graph_cover_pricer(masks)(whole)
+        assert got == 2 * value and type(got) is int
+        whole_bag = bag(*"ABCDE"[: whole.bit_length()])
+        assert got == 2 * fractional_cover_value(whole_bag, edges(*pairs), exact=True)
 
     def test_an_odd_cycle_is_not_priced_by_an_integral_matching(self):
         # a triangle plus D, covered by a singleton: the graph matches one
-        # edge (4 - 1 = 3), its double cover all three left copies
-        # (4 - 3/2); a pendant F on C5 makes C5 + F integral (6 - 3)
-        masks = _masks((("AB", 1), ("BC", 1), ("CA", 1), ("D", 1)))
-        assert graph_cover_value(0b1111, masks) == Fraction(5, 2)
-        masks = _masks((("AB", 1), ("BC", 1), ("CD", 1), ("DE", 1), ("EA", 1), ("AF", 1)))
-        assert graph_cover_value(0b111111, masks) == 3
-        assert graph_cover_value(0b011111, masks) == Fraction(5, 2)
+        # edge (2·4 − 2 = 6), its double cover all three left copies
+        # (2·4 − 3); a pendant F on C5 makes C5 + F integral (2·6 − 6)
+        assert _doubled_cover(0b1111, (("AB", 1), ("BC", 1), ("CA", 1), ("D", 1))) == 5
+        c5_f = (("AB", 1), ("BC", 1), ("CD", 1), ("DE", 1), ("EA", 1), ("AF", 1))
+        price = graph_cover_pricer(_masks(c5_f))
+        assert price(0b111111) == 6
+        assert price(0b011111) == 5
 
     def test_edges_are_read_through_their_restriction_to_the_bag(self):
         # a ternary edge meeting the bag in two attributes is one graph edge
-        masks = _masks((("ABD", 1), ("BC", 1), ("CA", 1)))
-        assert graph_cover_value(0b0111, masks) == Fraction(3, 2)
-        assert graph_cover_value(0, masks) == 0
+        price = graph_cover_pricer(_masks((("ABD", 1), ("BC", 1), ("CA", 1))))
+        assert price(0b0111) == 3
+        assert price(0) == 0
+
+    def test_an_edge_leaving_the_bag_covers_its_attribute_in_it(self):
+        # D lies only in CD, whose C is outside the bag {A,B,D}: AB plus CD
+        pairs = (("AB", 1), ("BC", 1), ("CD", 1))
+        assert _doubled_cover(0b1011, pairs) == 4
+        assert fractional_cover_value(bag("A", "B", "D"), edges(*pairs), exact=True) == 2
+        assert _doubled_cover(0b0101, pairs) == 4
+
+    def test_a_ternary_edge_meeting_the_bag_in_two_adds_that_pair(self):
+        # without the pair AB, {A,B,C} would be the path A–C–B, at 2·2
+        pairs = (("ABD", 1), ("BC", 1), ("CA", 1))
+        assert _doubled_cover(0b0111, pairs) == 3
+        assert fractional_cover_value(bag("A", "B", "C"), edges(*pairs), exact=True) == Fraction(3, 2)
+
+    def test_a_ternary_edge_meeting_the_bag_in_three_gives_none(self):
+        assert _doubled_cover(0b0111, (("ABCD", 1), ("AB", 1), ("CD", 1))) is None
+        assert _doubled_cover(0b1011, (("ABCD", 1), ("AB", 1), ("CD", 1))) is None
+        assert _doubled_cover(0b0011, (("ABCD", 1), ("AB", 1), ("CD", 1))) == 2
 
     def test_none_off_its_class(self):
         # an edge meeting the bag in three attributes, or one costing other
         # than 1, leaves the bag to the simplex
-        assert graph_cover_value(0b111, _masks((("ABC", 1),))) is None
-        assert graph_cover_value(0b111, _masks((("AB", 1), ("BC", 1), ("ABC", 1)))) is None
-        assert graph_cover_value(0b111, _masks((("AB", 2), ("BC", 1), ("CA", 1)))) is None
-        assert graph_cover_value(0b111, _masks((("AB", 0.5), ("BC", 1), ("CA", 1)))) is None
-        assert graph_cover_value(0b11, _masks((("AB", 1), ("BC", 2)))) is None
+        assert _doubled_cover(0b111, (("ABC", 1),)) is None
+        assert _doubled_cover(0b111, (("AB", 1), ("BC", 1), ("ABC", 1))) is None
+        assert _doubled_cover(0b111, (("AB", 2), ("BC", 1), ("CA", 1))) is None
+        assert _doubled_cover(0b111, (("AB", 0.5), ("BC", 1), ("CA", 1))) is None
+        assert _doubled_cover(0b11, (("AB", 1), ("BC", 2))) is None
 
     def test_uncovered_bag_is_left_to_the_simplex(self):
-        assert graph_cover_value(0b11, _masks((("A", 1),))) is None
+        assert _doubled_cover(0b11, (("A", 1),)) is None
 
     def test_matches_the_simplex_on_random_bags(self):
         # bags over at most 10 attributes whose edges meet them in one or two
         # attributes (a third may lie outside), some attributes covered only
-        # by singletons
+        # by singletons; one more edge meeting the bag in three attributes,
+        # or at a cost other than 1, then leaves it to the simplex
         rng = random.Random(47)
         lonely_seen = 0
         for _ in range(2000):
@@ -302,7 +327,11 @@ class TestGraphCoverValue:
             lonely_seen += any(all(a not in e or len(e) == 1 for e, _ in cost) for a in target)
             bit = {a: 1 << i for i, a in enumerate(names)}
             masks = [(sum(bit[a] for a in e), c) for e, c in cost]
-            got = graph_cover_value(sum(bit[a] for a in target), masks)
+            target_mask = sum(bit[a] for a in target)
+            got = graph_cover_pricer(masks)(target_mask)
             want = fractional_cover_value(frozenset(target), cost, exact=True)
-            assert got == want, (cost, target)
+            assert got == 2 * want and type(got) is int, (cost, target)
+            meet = rng.sample(target, min(3, len(target)))
+            off = (sum(bit[a] for a in meet), 1 if len(meet) == 3 else 2)
+            assert graph_cover_pricer(masks + [off])(target_mask) is None, (cost, target, meet)
         assert lonely_seen > 500

@@ -244,9 +244,9 @@ class TestPlan:
         from ajar import ghd
 
         def refuse(*args):
-            raise AssertionError("graph_cover_value called in data mode")
+            raise AssertionError("graph_cover_pricer called in data mode")
 
-        monkeypatch.setattr(ghd, "graph_cover_value", refuse)
+        monkeypatch.setattr(ghd, "graph_cover_pricer", refuse)
         h = Hypergraph.build([(f"R{i}", (f"A{i}", f"A{(i + 1) % 5}")) for i in range(5)])
         for cost in (1.0, 0.5):
             g = optimal_ghd(h, mode="data", cost_edges=[(e.attrs, cost) for e in h.edges])

@@ -245,6 +245,23 @@ class TestCli:
         assert payload["width"] == 1
         assert "width: 1" in capsys.readouterr().out
 
+    def test_plan_prints_the_exact_width(self, tmp_path, capsys):
+        # the four triangles of K4 cover it at 4/3: the text line is exact in
+        # unit mode, the JSON a number; data mode prints its float
+        query = tmp_path / "k4.aj"
+        query.write_text(
+            "Q() = sum[A] sum[B] sum[C] sum[D] R(A,B,C), S(B,C,D), T(A,C,D), U(A,B,D)\n"
+        )
+        assert main(["plan", str(query)]) == 0
+        width_line, _, text = capsys.readouterr().out.split("\n", 2)
+        assert width_line == "width: 4/3"
+        assert json.loads(text)["width"] == pytest.approx(4 / 3)
+        stats = tmp_path / "s.json"
+        stats.write_text(json.dumps({"R": 8, "S": 8, "T": 8, "U": 8}))
+        assert main(["plan", str(query), "--mode", "data", "--stats", str(stats)]) == 0
+        width_line, _, text = capsys.readouterr().out.split("\n", 2)
+        assert width_line == f"width: {json.loads(text)['width']}"
+
     def test_plan_parity_cycle_width_two(self, tmp_path, capsys):
         body = ", ".join(f"E{i}(A{i},A{i % 6 + 1})" for i in range(1, 7))
         (tmp_path / "cycle.aj").write_text(
