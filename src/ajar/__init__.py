@@ -42,7 +42,6 @@ from .ordering import (
     compute_prec,
     linear_extensions,
     test_equivalence,
-    test_equivalence_product,
 )
 from .planner import Plan, plan, run, transitive_closure
 from .queries import ParsedQuery, parse_query, print_query

@@ -35,10 +35,6 @@ def _read_query(path: str):
     return parse_query(read_text(path))
 
 
-def _query_semiring(query, override=None):
-    return get_semiring(override or query.semiring_name or "int")
-
-
 class _NewlineLines:
     """Lines from a ``csv.writer`` ending "\r\n", printed ending "\n".
 
@@ -82,7 +78,7 @@ def cmd_plan(args) -> int:
 
 def cmd_run(args) -> int:
     query = _read_query(args.query)
-    semiring = _query_semiring(query)
+    semiring = get_semiring(query.semiring_name or "int")
     for attr, op in query.ordering.items:
         if not semiring.knows_op(op):
             raise QueryError(f"operator {op!r} unknown to semiring {semiring.name!r}")
@@ -104,12 +100,7 @@ def cmd_run(args) -> int:
 def cmd_equiv(args) -> int:
     query = _read_query(args.query)
     beta = parse_agg_list(args.ordering, query.ordering)
-    violation = explain_equivalence(
-        query.hypergraph,
-        query.ordering,
-        beta,
-        products=query.ordering.has_products(),
-    )
+    violation = explain_equivalence(query.hypergraph, query.ordering, beta)
     if violation is None:
         print("equivalent: true")
     else:

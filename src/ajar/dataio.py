@@ -36,11 +36,7 @@ def format_value(value) -> str:
     return str(value)
 
 
-def load_relation_csv(
-    path: str | Path,
-    semiring: SemiringSpec,
-    schema: Optional[tuple[str, ...]] = None,
-) -> AnnotatedRelation:
+def load_relation_csv(path: str | Path, semiring: SemiringSpec) -> AnnotatedRelation:
     """Header row: attribute names then __annotation.
 
     Rows are read in chunks of ``CHUNK_ROWS`` and parsed a column at a time:
@@ -51,8 +47,7 @@ def load_relation_csv(
     its chunk; the same loop then reads the file again one row per chunk,
     where the failing check raises the error naming the file and the
     physical line the bad record starts on.  Zero annotations are dropped
-    after the duplicate check.  When a schema is given (per-atom renaming),
-    columns map as ``_atom_relation`` maps them.
+    after the duplicate check.
     """
     path = Path(path)
     try:
@@ -61,7 +56,7 @@ def load_relation_csv(
             rel = _load_columns(path, semiring, 1)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    return rel if schema is None else _atom_relation(path, rel, schema)
+    return rel
 
 
 def _header(path: Path, reader) -> list[str]:

@@ -32,13 +32,6 @@ class Ghd:
     def single(cls, bag: Iterable[str]) -> "Ghd":
         return cls(root=0, parent={0: None}, chi={0: frozenset(bag)})
 
-    @classmethod
-    def chain(cls, bags: Sequence[Iterable[str]]) -> "Ghd":
-        """Chain rooted at the first bag."""
-        parent = {i: (i - 1 if i else None) for i in range(len(bags))}
-        chi = {i: frozenset(b) for i, b in enumerate(bags)}
-        return cls(root=0, parent=parent, chi=chi)
-
     def nodes(self) -> list[int]:
         return sorted(self.parent)
 
@@ -270,18 +263,30 @@ def width(
     h: Hypergraph,
     sizes: Optional[dict[str, int]] = None,
     mode: str = "unit",
-    cost_edges: Optional[list[tuple[frozenset[str], Any]]] = None,
 ) -> WidthReport:
-    """Per-bag fractional cover optimum; overall width is the max.  An empty
-    bag costs zero without an LP."""
-    if cost_edges is None:
-        cost_edges = cost_edges_for(h, sizes, mode)
-    exact = mode == "unit"
-    zero = Fraction(0) if exact else 0.0
-    per_bag = {
-        t: fractional_cover_value(bag, cost_edges, exact) if bag else zero
-        for t, bag in g.chi.items()
-    }
+    """Per-bag fractional cover optimum; overall width is the max.
+
+    An empty bag costs zero without an LP.  In unit mode a bag is priced as
+    ``optimal_ghd`` prices it, by the matching of ``graph_cover_pricer``
+    built once per call, and only a bag it returns None for (a wider meet,
+    or an attribute no edge holds) goes to the LP."""
+    cost_edges = cost_edges_for(h, sizes, mode)
+    if mode != "unit":
+        per_bag = {
+            t: fractional_cover_value(bag, cost_edges, False) if bag else 0.0
+            for t, bag in g.chi.items()
+        }
+        return WidthReport.collect(mode, per_bag)
+    attrs = g.attr_universe().union(*(e for e, _ in cost_edges))
+    bit = {a: 1 << i for i, a in enumerate(attrs)}
+    price = graph_cover_pricer([(sum(bit[a] for a in e), c) for e, c in cost_edges])
+    per_bag = {}
+    for t, bag in g.chi.items():
+        doubled = price(sum(bit[a] for a in bag))
+        if doubled is None:
+            per_bag[t] = fractional_cover_value(bag, cost_edges, True)
+        else:
+            per_bag[t] = Fraction(doubled, 2)
     return WidthReport.collect(mode, per_bag)
 
 
@@ -318,15 +323,14 @@ def _front_set(h: Hypergraph, alpha_c: AggregationOrdering) -> frozenset[str]:
 def characteristic_tree(
     h: Hypergraph,
     alpha: AggregationOrdering,
-    products: bool = False,
     _names: Optional[itertools.count] = None,
 ) -> Part:
     """Recursive decomposition into unconstrained hypergraphs.
 
     The root part covers the output attributes; one child subtree per
-    connected component of the query minus outputs (and minus product
-    attributes in the product variant, components then absorbing adjacent
-    product attributes).  Each child drops its component's front set, the
+    connected component of the query minus outputs and minus alpha's product
+    attributes, each component then absorbing the product attributes its
+    edges hold.  Each child drops its component's front set, the
     attributes the equivalence test's commute check lets reach the front of
     the component's ordering.  Intersection edges are added so arbitrary GHDs
     of the parts can be stitched back together.
@@ -334,7 +338,7 @@ def characteristic_tree(
     if _names is None:
         _names = itertools.count()
     outputs = h.vertices - alpha.attrs()
-    prod_attrs = alpha.product_attrs() if products else frozenset()
+    prod_attrs = alpha.product_attrs()
     comps = connected_components(h, outputs | prod_attrs)
 
     children = []
@@ -355,7 +359,7 @@ def characteristic_tree(
                 seen_interfaces.add(interface)
                 interface_edges.append((f"__ix{next(_names)}", interface))
         sub_h = Hypergraph.build(sub_edges)
-        child = characteristic_tree(sub_h, sub_alpha, products, _names)
+        child = characteristic_tree(sub_h, sub_alpha, _names)
         child.interface = interface
         children.append(child)
 
@@ -374,7 +378,7 @@ def characteristic_hypergraphs(
     h: Hypergraph, alpha: AggregationOrdering
 ) -> list[Hypergraph]:
     """Flat preorder listing of the characteristic hypergraphs."""
-    tree = characteristic_tree(h, alpha, products=alpha.has_products())
+    tree = characteristic_tree(h, alpha)
     return [part.hypergraph for part in tree.flatten()]
 
 
@@ -416,7 +420,7 @@ def stitch_tree(part: Part, ghds: Iterable[Ghd]) -> Ghd:
 
 def stitch(h: Hypergraph, alpha: AggregationOrdering, parts: Sequence[Ghd]) -> Ghd:
     """Stitch GHDs given in the order characteristic_hypergraphs returns."""
-    tree = characteristic_tree(h, alpha, products=alpha.has_products())
+    tree = characteristic_tree(h, alpha)
     expected = len(tree.flatten())
     if len(parts) != expected:
         raise QueryError(f"expected {expected} part GHDs, got {len(parts)}")
@@ -477,7 +481,6 @@ def optimal_ghd(
     h: Hypergraph,
     sizes: Optional[dict[str, int]] = None,
     mode: str = "unit",
-    cap: int = GHD_VERTEX_CAP,
     cost_edges: Optional[list[tuple[frozenset[str], Any]]] = None,
 ) -> Ghd:
     """Minimum-width GHD among those induced by vertex elimination orders.
@@ -512,8 +515,8 @@ def optimal_ghd(
     """
     verts = sorted(h.vertices)
     n = len(verts)
-    if n > cap:
-        raise QueryError(f"hypergraph has {n} attributes, above the cap {cap}")
+    if n > GHD_VERTEX_CAP:
+        raise QueryError(f"hypergraph has {n} attributes, above the cap {GHD_VERTEX_CAP}")
     if n == 0:
         return Ghd.single(())
     if cost_edges is None:

@@ -130,7 +130,7 @@ def completeness_counterexample(
     pinned to 0, and a single designated relation carries annotations x, y
     chosen so the two operators give different folds.
     """
-    violation = explain_equivalence(h, alpha, beta, products=alpha.has_products())
+    violation = explain_equivalence(h, alpha, beta)
     if violation is None or not violation.path:
         return None
     x, y = _clashing_values(
@@ -195,7 +195,6 @@ def _candidate_pairs(semiring: SemiringSpec):
 def exhaustive_valid_ghds(
     h: Hypergraph,
     alpha: AggregationOrdering,
-    bag_size_cap: Optional[int] = None,
     bag_filter: Optional[Callable[[frozenset[str]], bool]] = None,
 ) -> Iterator[Ghd]:
     """All valid GHDs with distinct bags and at most |V| nodes, up to
@@ -218,7 +217,6 @@ def exhaustive_valid_ghds(
         raise QueryError("exhaustive GHD search is capped at 5 attributes")
     if alpha.has_products():
         raise QueryError("exhaustive validity search is product-free")
-    cap = bag_size_cap or n
     prec = compute_prec(h, alpha)
     verts = sorted(h.vertices)
     bit = {v: 1 << i for i, v in enumerate(verts)}
@@ -228,8 +226,7 @@ def exhaustive_valid_ghds(
         for y in verts:
             if x != y and prec.before(x, y):
                 blocked[i] |= bit[y]
-    all_bags = [m for m in range(1, 1 << n) if bin(m).count("1") <= cap]
-    all_bags.sort(key=lambda m: (bin(m).count("1"), m))
+    all_bags = sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m))
     edge_masks = []
     for e in h.edges:
         mask = 0

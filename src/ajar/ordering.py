@@ -2,10 +2,14 @@
 
 Two orderings are equivalent when they produce the same output on every
 instance.  The recursive test splits on connected components after dropping
-output attributes and otherwise checks whether the head of one ordering can
-commute to the front of the other; the fixed-point computation turns the same
-structure into an explicit strict partial order whose linear extensions are
-exactly the equivalent orderings.
+output attributes and product attributes (each component keeps the product
+attributes its edges hold) and otherwise checks whether the head of one
+ordering can commute to the front of the other.  The ordering says which of
+its attributes are products, so the product variant needs no separate switch;
+product aggregations assume an idempotent ⊗.  The fixed-point computation
+turns the same structure into an explicit strict partial order, for
+product-free orderings, whose linear extensions are exactly the equivalent
+orderings.
 """
 
 from __future__ import annotations
@@ -99,15 +103,11 @@ class Violation:
         )
 
 
-def _precheck(
-    alpha: AggregationOrdering, beta: AggregationOrdering, allow_products: bool
-) -> Optional[Violation]:
+def _precheck(alpha: AggregationOrdering, beta: AggregationOrdering) -> Optional[Violation]:
     if alpha.attrs() != beta.attrs():
         return Violation("", "", "attribute-sets-differ")
     if alpha.operators() != beta.operators():
         return Violation("", "", "operators-differ")
-    if not allow_products and alpha.has_products():
-        return Violation("", "", "product-operator-present")
     return None
 
 
@@ -132,24 +132,20 @@ def commute_block(
 
 
 def _test_recursive(
-    h: Hypergraph,
-    alpha: AggregationOrdering,
-    beta: AggregationOrdering,
-    products: bool,
+    h: Hypergraph, alpha: AggregationOrdering, beta: AggregationOrdering
 ) -> Optional[Violation]:
     if len(alpha) == 0:
         return None
     removed = set(h.vertices - alpha.attrs())
-    prod_attrs = alpha.product_attrs() if products else frozenset()
+    prod_attrs = alpha.product_attrs()
     comps = connected_components(h, removed | prod_attrs)
     if len(comps) > 1:
         for comp in comps:
             scope = set(comp)
-            if products:
-                for e in h.edges:
-                    if e.attrs & comp:
-                        scope |= e.attrs & prod_attrs
-            bad = _test_recursive(h, alpha.restrict(scope), beta.restrict(scope), products)
+            for e in h.edges:
+                if e.attrs & comp:
+                    scope |= e.attrs & prod_attrs
+            bad = _test_recursive(h, alpha.restrict(scope), beta.restrict(scope))
             if bad is not None:
                 return bad
         return None
@@ -157,34 +153,26 @@ def _test_recursive(
     path = commute_block(h, beta.items, beta.position(head_attr))
     if path is not None:
         return Violation(path[0], head_attr, "blocked-path", path)
-    return _test_recursive(h, alpha.without([head_attr]), beta.without([head_attr]), products)
+    return _test_recursive(h, alpha.without([head_attr]), beta.without([head_attr]))
 
 
 def explain_equivalence(
-    h: Hypergraph,
-    alpha: AggregationOrdering,
-    beta: AggregationOrdering,
-    products: bool = False,
+    h: Hypergraph, alpha: AggregationOrdering, beta: AggregationOrdering
 ) -> Optional[Violation]:
     """None if equivalent, else the first violated constraint."""
-    bad = _precheck(alpha, beta, allow_products=products)
+    bad = _precheck(alpha, beta)
     if bad is not None:
         return bad
-    return _test_recursive(h, alpha, beta, products)
+    return _test_recursive(h, alpha, beta)
 
 
 def test_equivalence(
     h: Hypergraph, alpha: AggregationOrdering, beta: AggregationOrdering
 ) -> bool:
-    """Sound and complete equivalence test for product-free orderings."""
-    return explain_equivalence(h, alpha, beta, products=False) is None
-
-
-def test_equivalence_product(
-    h: Hypergraph, alpha: AggregationOrdering, beta: AggregationOrdering
-) -> bool:
-    """Equivalence test allowing product aggregations (idempotent ⊗)."""
-    return explain_equivalence(h, alpha, beta, products=True) is None
+    """The equivalence test, sound and complete on product-free orderings.
+    Product aggregations take part as in the paper's product variant, which
+    assumes an idempotent ⊗, the only kind the engine runs products over."""
+    return explain_equivalence(h, alpha, beta) is None
 
 
 @dataclass(frozen=True)

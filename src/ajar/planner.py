@@ -25,12 +25,7 @@ from .ghd import (
     width,
 )
 from .hypergraph import Hypergraph
-from .ordering import (
-    AggregationOrdering,
-    compute_prec,
-    test_equivalence,
-    test_equivalence_product,
-)
+from .ordering import AggregationOrdering, compute_prec, test_equivalence
 from .relations import (
     AnnotatedRelation,
     DomainRegistry,
@@ -148,13 +143,12 @@ def plan(
     for attr in alpha.attrs():
         if attr not in h.vertices:
             raise QueryError(f"ordering attribute {attr!r} not in the query body")
-    products = alpha.has_products()
     prepass: list[tuple[str, str]] = []
-    if products:
+    if alpha.has_products():
         h, alpha, prepass = _trailing_product_prepass(h, alpha)
-        products = alpha.has_products()
+    products = alpha.has_products()
 
-    tree = characteristic_tree(h, alpha, products=products)
+    tree = characteristic_tree(h, alpha)
     parts = tree.flatten()
     # bags are priced against the real relations, never interface edges
     cost = cost_edges_for(h, sizes, mode)
@@ -167,8 +161,7 @@ def plan(
     if products:
         decomposition = aghd_from_stitched(h, alpha, decomposition)
     beta = _compatible_ordering(decomposition, alpha)
-    equivalent = test_equivalence_product if products else test_equivalence
-    if not equivalent(h, alpha, beta):
+    if not test_equivalence(h, alpha, beta):
         raise InternalError("derived ordering is not equivalent to the query's")
     if not is_compatible(decomposition, beta):
         raise InternalError("stitched decomposition incompatible with derived ordering")
@@ -293,27 +286,30 @@ def transitive_closure(
     rel: AnnotatedRelation,
     semiring: SemiringSpec,
     max_iters: int = 32,
-    op: Optional[str] = None,
     stats: Optional[ExecStats] = None,
 ) -> AnnotatedRelation:
     """Closure by repeated squaring: plan Q(X,Y) = op[M] L(X,M), L(M,Y) once
     and run it on each round's result, starting from rel.
 
-    Every node needs a self-loop annotated with the semiring's one, so rel
-    already holds the identity and round n covers every walk of at most 2^n
-    steps; a node without one is a QueryError.  A diagonal entry other than
-    one is an improving cycle through that node (for min-plus: a negative
-    cycle), so no fixpoint exists and that is a QueryError naming the node.
+    op is the semiring's one additive operator; a semiring with several is a
+    QueryError naming them.  Every node needs a self-loop annotated with the
+    semiring's one, so rel already holds the identity and round n covers
+    every walk of at most 2^n steps; a node without one is a QueryError.  A
+    diagonal entry other than one is an improving cycle through that node
+    (for min-plus: a negative cycle), so no fixpoint exists and that is a
+    QueryError naming the node.
     Otherwise walks of at most |V| - 1 steps are all covered after
     ceil(log2 |V|) rounds and confirmed by one more, so the rounds stop at
     that budget (or max_iters, if smaller) with a QueryError.
     """
     if len(rel.schema) != 2:
         raise QueryError("transitive closure needs a binary relation")
-    if op is None:
-        if len(semiring.additive_ops) != 1:
-            raise QueryError("specify which additive operator to close over")
-        (op,) = semiring.additive_ops
+    if len(semiring.additive_ops) != 1:
+        raise QueryError(
+            "transitive closure needs a semiring with one additive operator; "
+            f"{semiring.name!r} has {', '.join(sorted(semiring.additive_ops))}"
+        )
+    (op,) = semiring.additive_ops
     nodes = {v for row in rel.tuples for v in row}
     v = _off_diagonal(rel, nodes, semiring.one)
     if v is not None:

@@ -3,6 +3,7 @@ import pytest
 from ajar import (
     AggregationOrdering,
     AnnotatedRelation,
+    Ghd,
     Hypergraph,
     get_semiring,
 )
@@ -37,6 +38,12 @@ def fig2():
 
 def ordering(*items):
     return AggregationOrdering(tuple(items))
+
+
+def chain(bags):
+    """A GHD whose bags form a chain rooted at the first."""
+    parent = {i: (i - 1 if i else None) for i in range(len(bags))}
+    return Ghd(root=0, parent=parent, chi={i: frozenset(b) for i, b in enumerate(bags)})
 
 
 def random_query(rng, ops=("sum", "max", "min"), max_attrs=5, max_edges=5):

@@ -11,7 +11,14 @@ import pytest
 
 from ajar import AnnotatedRelation, QueryError, get_semiring
 from ajar import dataio
-from ajar.dataio import ANNOTATION_COLUMN, load_relation_csv, load_stats_json, parse_value
+from ajar.dataio import (
+    ANNOTATION_COLUMN,
+    load_query_data,
+    load_relation_csv,
+    load_stats_json,
+    parse_value,
+)
+from ajar.queries import parse_query
 from ajar.semirings import builtin_semirings
 
 
@@ -239,7 +246,7 @@ class TestByteOrderMark:
     def test_header_maps_atom_by_name(self, tmp_path, int_sr):
         path = tmp_path / "R.csv"
         path.write_bytes(b"\xef\xbb\xbfB,A,__annotation\n2,1,5\n")
-        rel = load_relation_csv(path, int_sr, schema=("A", "B"))
+        rel = load_query_data(parse_query("Q() = sum[A] sum[B] R(A,B)"), tmp_path, int_sr)["R"]
         assert rel.schema == ("A", "B")
         assert rel.tuples == {(1, 2): 5}
 

@@ -36,7 +36,7 @@ from ajar.ghd import (
 from ajar.oracle import RandomInstanceSpec, naive_eval
 from ajar import execution, planner
 from ajar.planner import plan, run
-from conftest import ordering
+from conftest import chain, ordering, random_query
 
 
 def two_node_tree(r, s):
@@ -423,6 +423,33 @@ class TestAggroYannakakis:
         got = aggro_yannakakis(g, bags, alpha, int_sr)
         assert got == naive_eval(h, alpha, inst, None, int_sr)
 
+    @pytest.mark.parametrize(
+        "name,ops", [("int", ("sum",)), ("qplus", ("sum", "max")), ("bool01", ("max", PRODUCT))]
+    )
+    def test_run_leaves_it_nothing_to_fold(self, monkeypatch, name, ops):
+        # under run() it gets the output region, whose bags compatibility
+        # keeps free of aggregated attributes: its ordering, restricted to
+        # the region's attributes, is empty, so its fold never aggregates
+        received = []
+        real = execution.aggro_yannakakis
+
+        def spy(g, bags, alpha, *args):
+            received.append((len(g.chi), alpha.restrict(g.attr_universe())))
+            return real(g, bags, alpha, *args)
+
+        monkeypatch.setattr(execution, "aggro_yannakakis", spy)
+        sr = get_semiring(name)
+        rng = random.Random(77)
+        for seed in range(250):
+            h, alpha = random_query(rng, ops=ops)
+            inst = RandomInstanceSpec(semiring_name=name, domain_size=2, seed=seed).instance(h)
+            doms = DomainRegistry.from_declarations({}, inst)
+            got = run(plan(h, alpha), inst, doms, sr)
+            assert got == naive_eval(h, alpha, inst, doms, sr), (h, alpha)
+        assert len(received) >= 200
+        assert all(len(fold) == 0 for _, fold in received)
+        assert sum(bags > 1 for bags, _ in received) >= 10  # outputs below the root
+
 
 class TestGhdJoin:
     def test_single_bag_equals_generic_join(self, fig1, int_sr, chain_h):
@@ -434,12 +461,12 @@ class TestGhdJoin:
     def test_parity_cycle_empty_output(self, int_sr):
         h, rels = parity_cycle_instance(6, 3)
         bags = [("A1", "A2", "A3"), ("A1", "A3", "A4"), ("A1", "A4", "A5"), ("A1", "A5", "A6")]
-        out = aggro_ghd_join(h, Ghd.chain(bags), ordering(), rels, int_sr)
+        out = aggro_ghd_join(h, chain(bags), ordering(), rels, int_sr)
         assert not out
 
     def test_worked_rational_instance(self, fig2, chain_h):
         sr = get_semiring("qplus")
-        g = Ghd.chain([("A", "B"), ("B", "C")])
+        g = chain([("A", "B"), ("B", "C")])
         out = aggro_ghd_join(chain_h, g, ordering(), fig2, sr)
         assert out == join([fig2["R"], fig2["S"]], sr)
 
@@ -447,13 +474,13 @@ class TestGhdJoin:
 class TestAggroGhdJoin:
     def test_worked_end_to_end(self, fig1, int_sr, chain_h):
         # the compatible equivalent of aggregating C then B (same operator)
-        g = Ghd.chain([("A", "B"), ("B", "C")])
+        g = chain([("A", "B"), ("B", "C")])
         beta = ordering(("B", "sum"), ("C", "sum"))
         out = aggro_ghd_join(chain_h, g, beta, fig1, int_sr)
         assert out == AnnotatedRelation(("A",), {(1,): 26})
 
     def test_incompatible_ghd_rejected(self, fig1, int_sr, chain_h):
-        g = Ghd.chain([("B", "C"), ("A", "B")])  # C's top above A's, C aggregated
+        g = chain([("B", "C"), ("A", "B")])  # C's top above A's, C aggregated
         alpha = ordering(("C", "sum"), ("B", "sum"))
         with pytest.raises(QueryError):
             aggro_ghd_join(chain_h, g, alpha, fig1, int_sr)
@@ -510,7 +537,7 @@ class TestAggroGhdJoin:
         # tuple's annotation must have prime degree exactly one per relation
         r = AnnotatedRelation(("A", "B"), {(1, 1): 2, (1, 2): 2})
         s = AnnotatedRelation(("B", "C"), {(1, 1): 3, (2, 1): 3})
-        g = Ghd.chain([("A", "B"), ("B", "C")])
+        g = chain([("A", "B"), ("B", "C")])
         out = aggro_ghd_join(chain_h, g, ordering(), {"R": r, "S": s}, int_sr)
         for row, lam in out.tuples.items():
             for prime in (2, 3):
@@ -523,7 +550,7 @@ class TestAggroGhdJoin:
 
     def test_stats_counters_populate(self, fig1, int_sr, chain_h):
         stats = ExecStats()
-        g = Ghd.chain([("A", "B"), ("B", "C")])
+        g = chain([("A", "B"), ("B", "C")])
         aggro_ghd_join(chain_h, g, ordering(("B", "sum"), ("C", "sum")), fig1, int_sr, None, stats)
         payload = stats.to_dict()
         assert payload["bag_output_tuples"]
@@ -531,7 +558,7 @@ class TestAggroGhdJoin:
         assert payload["intermediate_tuples"] > 0
 
     def test_shared_stats_sum_bag_counts(self, fig1, int_sr, chain_h):
-        g = Ghd.chain([("A", "B"), ("B", "C")])
+        g = chain([("A", "B"), ("B", "C")])
         beta = ordering(("B", "sum"), ("C", "sum"))
         once = ExecStats()
         aggro_ghd_join(chain_h, g, beta, fig1, int_sr, None, once)
@@ -548,7 +575,7 @@ class TestAggroGhdJoin:
         # so it equals 2*3*5 exactly when each relation is multiplied once
         sr = get_semiring("qplus")
         h = Hypergraph.build([("R", ("A", "B")), ("S", ("B", "C")), ("T", ("C", "D"))])
-        g = Ghd.chain([("A", "C", "D"), ("A", "B", "C")])  # outputs A, D at the root
+        g = chain([("A", "C", "D"), ("A", "B", "C")])  # outputs A, D at the root
         beta = ordering(("C", "max"), ("B", "max"))
         primes = {"R": 2, "S": 3, "T": 5}
         for seed in range(5):
@@ -725,7 +752,7 @@ class TestAggroGhdJoin:
         # keeps pi1 of S, homed at bag 1, while bag 1 keeps pi1 of R, homed
         # above it, and drops pi1 of T, homed at bag 2, whose message is on C
         h = Hypergraph.build([("R", ("A", "B")), ("S", ("B", "C")), ("T", ("C", "D"))])
-        g = Ghd.chain([("A", "B"), ("B", "C"), ("C", "D")])
+        g = chain([("A", "B"), ("B", "C"), ("C", "D")])
         alpha = ordering(("D", "sum"))
         atoms = self.bag_atoms_spy(monkeypatch)
         for seed in range(4):
@@ -777,7 +804,7 @@ class TestAggroGhdJoin:
 
 class TestExecuteAghd:
     def _aghd(self, h, alpha):
-        tree = characteristic_tree(h, alpha, products=True)
+        tree = characteristic_tree(h, alpha)
         cost = [(e.attrs, 1) for e in h.edges]
         ghds = [optimal_ghd(p.hypergraph, cost_edges=cost) for p in tree.flatten()]
         return aghd_from_stitched(h, alpha, stitch_tree(tree, ghds))

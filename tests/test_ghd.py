@@ -8,6 +8,7 @@ from ajar import (
     AggregationOrdering,
     Ghd,
     Hypergraph,
+    InternalError,
     PRODUCT,
     ProductPartition,
     QueryError,
@@ -24,7 +25,9 @@ from ajar import (
     top_map,
     width,
 )
+from ajar import ghd as ghd_module
 from ajar.ghd import (
+    GHD_VERTEX_CAP,
     _front_set,
     aghd_from_stitched,
     characteristic_tree,
@@ -34,7 +37,7 @@ from ajar.ghd import (
 from ajar.lp import fractional_cover_value
 from ajar.oracle import exhaustive_valid_ghds
 from ajar.ordering import test_equivalence as is_equivalent
-from conftest import ordering, random_query
+from conftest import chain, ordering, random_query
 from normalization import is_subtree_connected, is_top_unique, normalize_decomposable
 from reference_ghd import unpruned_optimal_ghd
 
@@ -56,15 +59,15 @@ class TestIsGhd:
         assert is_ghd(chain_h, Ghd.single(("A", "B", "C")))
 
     def test_two_bag_chain(self, chain_h):
-        assert is_ghd(chain_h, Ghd.chain([("A", "B"), ("B", "C")]))
+        assert is_ghd(chain_h, chain([("A", "B"), ("B", "C")]))
 
     def test_uncovered_edge(self, chain_h):
-        assert not is_ghd(chain_h, Ghd.chain([("A", "B"), ("C",)]))
+        assert not is_ghd(chain_h, chain([("A", "B"), ("C",)]))
 
     def test_running_intersection_violation(self, chain_h):
-        g = Ghd.chain([("A", "B"), ("A",), ("A", "B", "C")])
+        g = chain([("A", "B"), ("A",), ("A", "B", "C")])
         g.chi[1] = frozenset("A")  # B skips a level: A,B / A / A,B,C breaks B
-        g2 = Ghd.chain([("B",), ("A",), ("B", "C")])
+        g2 = chain([("B",), ("A",), ("B", "C")])
         assert not is_ghd(chain_h, g2)
 
 
@@ -74,24 +77,24 @@ class TestTopMap:
         assert set(tops.values()) == {0}
 
     def test_chain_tops(self):
-        g = Ghd.chain([("A", "B"), ("B", "C")])
+        g = chain([("A", "B"), ("B", "C")])
         tops = top_map(g)
         assert tops == {"A": 0, "B": 0, "C": 1}
 
     def test_attr_in_every_bag_tops_at_root(self, cycle6):
         bags = [("A1", "A2", "A3"), ("A1", "A3", "A4"), ("A1", "A4", "A5"), ("A1", "A5", "A6")]
-        g = Ghd.chain(bags)
+        g = chain(bags)
         assert top_map(g)["A1"] == 0
 
 
 class TestIsCompatible:
     def test_output_root_then_aggregations(self, chain_h):
-        g = Ghd.chain([("A", "B"), ("B", "C")])
+        g = chain([("A", "B"), ("B", "C")])
         beta = ordering(("B", "sum"), ("C", "sum"))
         assert is_compatible(g, beta)
 
     def test_rerooted_chain_breaks_compatibility(self, chain_h):
-        g = Ghd.chain([("B", "C"), ("A", "B")])  # rooted at {B,C}
+        g = chain([("B", "C"), ("A", "B")])  # rooted at {B,C}
         beta = ordering(("B", "sum"), ("C", "sum"))
         assert not is_compatible(g, beta)
 
@@ -99,7 +102,7 @@ class TestIsCompatible:
         assert is_compatible(Ghd.single(("A", "B", "C")), ordering())
 
     def test_ordering_must_match_top_order(self, chain_h):
-        g = Ghd.chain([("A", "B"), ("B", "C")])
+        g = chain([("A", "B"), ("B", "C")])
         assert is_compatible(g, ordering(("B", "sum"), ("C", "max")))
         assert not is_compatible(g, ordering(("C", "max"), ("B", "sum")))
 
@@ -108,7 +111,7 @@ class TestIsValid:
     def test_worked_two_bag_plan(self, chain_h):
         alpha = ordering(("B", "sum"), ("C", "sum"))
         prec = compute_prec(chain_h, alpha)
-        assert is_valid(prec, Ghd.chain([("A", "B"), ("B", "C")]))
+        assert is_valid(prec, chain([("A", "B"), ("B", "C")]))
 
     def test_single_bag_always_valid(self):
         h = Hypergraph.build([("R", ("A", "B")), ("S", ("B", "D")), ("T", ("C", "D"))])
@@ -120,7 +123,7 @@ class TestIsValid:
         h = Hypergraph.build([("R", ("A", "B")), ("S", ("B", "D")), ("T", ("C", "D"))])
         alpha = ordering(("A", "sum"), ("B", "max"), ("C", "max"), ("D", "sum"))
         prec = compute_prec(h, alpha)
-        g = Ghd.chain([("C", "D"), ("B", "D"), ("A", "B")])
+        g = chain([("C", "D"), ("B", "D"), ("A", "B")])
         assert not is_valid(prec, g)  # D's top sits above A's
 
     def test_valid_exactly_when_compatible_with_an_equivalent_ordering(self):
@@ -140,12 +143,12 @@ class TestIsValid:
 
 class TestWidth:
     def test_two_bag_chain_width_one(self, chain_h):
-        report = width(Ghd.chain([("A", "B"), ("B", "C")]), chain_h)
+        report = width(chain([("A", "B"), ("B", "C")]), chain_h)
         assert report.width == 1
 
     def test_cycle_plan_width_two(self, cycle6):
         bags = [("A1", "A2", "A3"), ("A1", "A3", "A4"), ("A1", "A4", "A5"), ("A1", "A5", "A6")]
-        report = width(Ghd.chain(bags), cycle6)
+        report = width(chain(bags), cycle6)
         assert report.width == 2
 
     def test_triangle_single_bag(self, triangle):
@@ -173,6 +176,50 @@ class TestWidth:
         ).width
         assert unit == 2
         assert 0 < data < 2
+
+    @pytest.mark.parametrize("bag", [("A", "Z"), ("A", "B", "Z"), ("Z",)])
+    @pytest.mark.parametrize("mode", ["unit", "data"])
+    def test_bag_attribute_in_no_edge_raises(self, chain_h, bag, mode):
+        # the matching covers A and B but cannot price Z away
+        sizes = {"R": 10, "S": 10} if mode == "data" else None
+        with pytest.raises(InternalError):
+            width(Ghd.single(bag), chain_h, sizes=sizes, mode=mode)
+
+    def test_unit_mode_prices_by_matching_and_agrees_with_the_lp(self, monkeypatch):
+        # every bag's unit width equals its exact LP value; with edges of at
+        # most two attributes no bag reaches the LP
+        solves = []
+        real = ghd_module.fractional_cover_value
+
+        def spy(bag, cost_edges, exact):
+            solves.append(bag)
+            return real(bag, cost_edges, exact)
+
+        monkeypatch.setattr(ghd_module, "fractional_cover_value", spy)
+        rng = random.Random(21)
+        checked = lp_trials = 0
+        for trial in range(300):
+            n = rng.randint(1, 7)
+            attrs = [f"X{i}" for i in range(n)]
+            arity = 2 if trial % 2 else 3
+            edges = [
+                (f"E{j}", tuple(rng.sample(attrs, rng.randint(1, min(arity, n)))))
+                for j in range(rng.randint(1, 7))
+            ]
+            h = Hypergraph.build(edges)
+            verts = sorted(h.vertices)
+            bags = [frozenset(rng.sample(verts, rng.randint(0, len(verts)))) for _ in range(3)]
+            solves.clear()
+            report = width(chain(bags), h)
+            cost = cost_edges_for(h, None, "unit")
+            for t, bag in enumerate(bags):
+                assert report.per_bag[t] == real(bag, cost, True), (edges, bag)
+                checked += 1
+            if arity == 2:
+                assert solves == []
+            lp_trials += bool(solves)
+        assert checked == 900
+        assert lp_trials >= 20  # ternary meets still reach the LP
 
 
 class TestCharacteristicHypergraphs:
@@ -279,9 +326,9 @@ class TestOptimalGhd:
         assert list(g.chi.values()) == [frozenset({"A", "B"})]
 
     def test_cap_enforced(self):
-        h = Hypergraph.build([("R", tuple(f"X{i}" for i in range(6)))])
+        h = Hypergraph.build([("R", tuple(f"X{i}" for i in range(GHD_VERTEX_CAP + 1)))])
         with pytest.raises(QueryError):
-            optimal_ghd(h, cap=5)
+            optimal_ghd(h)
 
     def test_matches_exhaustive_on_small_queries(self):
         rng = random.Random(17)
@@ -407,22 +454,22 @@ class TestNormalizeDecomposable:
     def test_already_decomposable_unchanged(self, chain_h):
         alpha = ordering(("B", "sum"), ("C", "sum"))
         prec = compute_prec(chain_h, alpha)
-        g = Ghd.chain([("A",), ("A", "B"), ("B", "C")])
+        g = chain([("A",), ("A", "B"), ("B", "C")])
         out = normalize_decomposable(chain_h, alpha, prec, g)
         assert out.canonical_code() == g.canonical_code()
 
     def test_worked_two_bag_split(self, chain_h):
         alpha = ordering(("B", "sum"), ("C", "sum"))
         prec = compute_prec(chain_h, alpha)
-        g = Ghd.chain([("A", "B"), ("B", "C")])
+        g = chain([("A", "B"), ("B", "C")])
         out = normalize_decomposable(chain_h, alpha, prec, g)
-        assert out.canonical_code() == Ghd.chain([("A",), ("A", "B"), ("B", "C")]).canonical_code()
+        assert out.canonical_code() == chain([("A",), ("A", "B"), ("B", "C")]).canonical_code()
 
     def test_invalid_input_rejected(self, chain_h):
         alpha = ordering(("B", "sum"), ("C", "sum"))
         prec = compute_prec(chain_h, alpha)
         with pytest.raises(QueryError):
-            normalize_decomposable(chain_h, alpha, prec, Ghd.chain([("B", "C"), ("A", "B")]))
+            normalize_decomposable(chain_h, alpha, prec, chain([("B", "C"), ("A", "B")]))
 
     def test_random_valid_ghds_normalize(self):
         rng = random.Random(19)
@@ -481,7 +528,7 @@ class TestProductPartition:
 
     def test_aghd_from_stitched_regions(self, chain_h):
         alpha = ordering(("B", PRODUCT), ("A", "max"), ("C", "max"))
-        tree = characteristic_tree(chain_h, alpha, products=True)
+        tree = characteristic_tree(chain_h, alpha)
         parts = tree.flatten()
         cost = [(e.attrs, 1) for e in chain_h.edges]
         ghds = [optimal_ghd(p.hypergraph, cost_edges=cost) for p in parts]

@@ -13,7 +13,6 @@ from ajar import (
     linear_extensions,
 )
 from ajar.ordering import test_equivalence as is_equivalent
-from ajar.ordering import test_equivalence_product as is_equivalent_product
 from ajar.oracle import (
     completeness_counterexample,
     naive_eval,
@@ -78,11 +77,11 @@ class TestEquivalence:
 
 class TestEquivalenceProduct:
     def test_empty_orderings(self, two_path):
-        assert is_equivalent_product(two_path, ordering(), ordering())
+        assert is_equivalent(two_path, ordering(), ordering())
 
     def test_identical(self, two_path):
         alpha = ordering(("B", PRODUCT), ("A", "max"), ("C", "max"))
-        assert is_equivalent_product(two_path, alpha, alpha)
+        assert is_equivalent(two_path, alpha, alpha)
 
     def test_product_head_cannot_move_past_blocking_semiring_attr(self, two_path):
         # swapping a product with a connected max is rejected, and the
@@ -90,7 +89,7 @@ class TestEquivalenceProduct:
         sr = get_semiring("bool01")
         alpha = ordering(("B", PRODUCT), ("A", "max"), ("C", "max"))
         beta = ordering(("A", "max"), ("B", PRODUCT), ("C", "max"))
-        structural = is_equivalent_product(two_path, alpha, beta)
+        structural = is_equivalent(two_path, alpha, beta)
         assert not structural
         instance, domains = completeness_counterexample(two_path, alpha, beta, sr)
         lhs = naive_eval(two_path, alpha, instance, domains, sr)
@@ -103,7 +102,7 @@ class TestEquivalenceProduct:
         sr = get_semiring("bool01")
         alpha = ordering(("B", PRODUCT), ("C", "max"))
         beta = ordering(("C", "max"), ("B", PRODUCT))
-        assert is_equivalent_product(h, alpha, beta)
+        assert is_equivalent(h, alpha, beta)
         verdict = semantic_equiv(h, alpha, beta, 30, 42, sr)
         assert verdict.equivalent_likely
 
@@ -145,7 +144,7 @@ class TestEquivalenceProduct:
                 for ops in itertools.product(("max", PRODUCT), repeat=2):
                     alpha = AggregationOrdering(tuple(zip(agg, ops)))
                     beta = AggregationOrdering(tuple(reversed(alpha.items)))
-                    structural = is_equivalent_product(h, alpha, beta)
+                    structural = is_equivalent(h, alpha, beta)
                     semantic = all(
                         naive_eval(h, alpha, inst, doms, sr)
                         == naive_eval(h, beta, inst, doms, sr)
@@ -160,7 +159,7 @@ class TestEquivalenceProduct:
         alpha = ordering(("B", PRODUCT), ("A", "max"), ("C", "max"))
         for perm in itertools.permutations(alpha.items):
             beta = AggregationOrdering(perm)
-            structural = is_equivalent_product(two_path, alpha, beta)
+            structural = is_equivalent(two_path, alpha, beta)
             if structural:
                 verdict = semantic_equiv(two_path, alpha, beta, 40, 900, sr)
                 assert verdict.equivalent_likely

@@ -24,7 +24,6 @@ from ajar.lp import fractional_cover_value
 from ajar.oracle import RandomInstanceSpec, floyd_warshall
 from ajar.ordering import compute_prec
 from ajar.ordering import test_equivalence as is_equivalent
-from ajar.ordering import test_equivalence_product as is_equivalent_product
 from conftest import ordering, random_query
 
 
@@ -142,7 +141,7 @@ class TestPlan:
         assert isinstance(p.ghd, Aghd)
         payload = p.to_dict()
         assert "product_partition" in payload
-        assert is_equivalent_product(chain_h, p.alpha, p.beta)
+        assert is_equivalent(chain_h, p.alpha, p.beta)
 
     def test_data_mode_prefers_small_relations(self, chain_h):
         p = plan(chain_h, ordering(), sizes={"R": 4, "S": 4096}, mode="data")

@@ -132,13 +132,13 @@ class TestDataIO:
     def test_positional_schema_mapping(self, tmp_path, int_sr):
         path = tmp_path / "R.csv"
         path.write_text("src,dst,__annotation\n1,2,5\n")
-        rel = load_relation_csv(path, int_sr, schema=("A1", "A2"))
+        rel = load_query_data(parse_query("Q() = sum[A1] sum[A2] R(A1,A2)"), tmp_path, int_sr)["R"]
         assert rel.schema == ("A1", "A2")
 
     def test_name_based_mapping_when_attrs_match(self, tmp_path, int_sr):
         path = tmp_path / "R.csv"
         path.write_text("B,A,__annotation\n2,1,5\n")
-        rel = load_relation_csv(path, int_sr, schema=("A", "B"))
+        rel = load_query_data(parse_query("Q() = sum[A] sum[B] R(A,B)"), tmp_path, int_sr)["R"]
         assert rel.tuples == {(1, 2): 5}
 
     def test_self_join_parses_its_file_once(self, tmp_path, int_sr, monkeypatch):
@@ -333,6 +333,19 @@ class TestCli:
             rows = list(csv.reader(fh))
         assert rows == [["S", "D", "__annotation"], ["a\rb", "a\rb", "0"]]
         assert list(csv.reader(io.StringIO(printed, newline=""))) == rows
+
+    def test_closure_names_a_semiring_without_one_operator(self, tmp_path, capsys):
+        # qplus folds by max or sum; closure has no flag to choose one, so the
+        # message names the semiring and its operators instead of asking
+        csv = tmp_path / "edges.csv"
+        csv.write_text("S,D,__annotation\n1,1,1\n2,2,1\n1,2,1/2\n")
+        assert main(["closure", str(csv), "--semiring", "qplus"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: transitive closure needs a semiring with one additive "
+            "operator; 'qplus' has max, sum\n"
+        )
+        assert not captured.out
 
     def test_closure_dag_without_self_loops_exit_code(self, tmp_path, capsys):
         # 2^k-step walks die out on a DAG; without self-loops the result was empty

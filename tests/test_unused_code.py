@@ -1,9 +1,11 @@
 """Every module-level function and class of the library, and every method,
 is referenced by name somewhere in ``src/ajar`` or ``demos/``: code that only
 tests call belongs beside those tests.  ``__init__.py`` only re-exports, so
-it is neither checked nor read, and an import is not a reference.  A name
-counts as referenced when it appears as a name or an attribute anywhere in
-those files, so a definition passes when anything shares its name."""
+it is neither checked nor read, and an import is not a reference.  A
+function or class counts as referenced when its name appears as a name or an
+attribute anywhere in those files; a method only when it appears as an
+attribute, so a local variable that shares a method's name does not keep the
+method alive."""
 
 import ast
 from pathlib import Path
@@ -38,15 +40,22 @@ def _definitions(tree: ast.Module) -> list[str]:
 
 
 def _references(tree: ast.Module) -> set[str]:
+    """Every name used, and every attribute accessed as ``.attr``."""
     return {
-        node.id if isinstance(node, ast.Name) else node.attr
+        node.id if isinstance(node, ast.Name) else "." + node.attr
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
 
 
+def _is_referenced(definition: str, references: set[str]) -> bool:
+    if "." in definition:  # Class.method
+        return "." + definition.rsplit(".", 1)[1] in references
+    return definition in references or "." + definition in references
+
+
 def _unreferenced(definitions: list[str], references: set[str]) -> list[str]:
-    return [name for name in definitions if name.rsplit(".", 1)[-1] not in references]
+    return [name for name in definitions if not _is_referenced(name, references)]
 
 
 def _library():
@@ -69,12 +78,14 @@ def test_every_exemption_is_needed():
 
 
 def test_guard_catches_a_dead_function():
+    # Box.lock is shadowed by a local variable of that name, which is no call
     tree = ast.parse(
-        "def used():\n    pass\n\n"
+        "def used():\n    lock = 1\n    return lock\n\n"
         "def dead():\n    pass\n\n"
         "class Box:\n    def __init__(self):\n        used()\n"
         "    def open(self):\n        pass\n"
-        "    def shut(self):\n        pass\n\n"
+        "    def shut(self):\n        pass\n"
+        "    def lock(self):\n        pass\n\n"
         "Box().open()\n"
     )
-    assert _unreferenced(_definitions(tree), _references(tree)) == ["dead", "Box.shut"]
+    assert _unreferenced(_definitions(tree), _references(tree)) == ["dead", "Box.shut", "Box.lock"]
