@@ -11,20 +11,17 @@ from .execution import (
     ExecStats,
     aggro_ghd_join,
     aggro_yannakakis,
-    execute_aghd,
     generic_join,
 )
 from .ghd import (
-    Aghd,
     Ghd,
-    ProductPartition,
     WidthReport,
     characteristic_hypergraphs,
     is_compatible,
     is_ghd,
     is_valid,
     optimal_ghd,
-    product_partition_hypergraph,
+    split_products,
     stitch,
     top_map,
     width,

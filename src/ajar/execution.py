@@ -31,7 +31,7 @@ from operator import and_, ne
 from typing import Container, Mapping, Optional
 
 from .errors import InternalError, QueryError
-from .ghd import Aghd, Ghd, is_compatible, is_ghd, top_map
+from .ghd import Ghd, is_compatible, is_ghd, top_map
 from .hypergraph import Hypergraph
 from .ordering import AggregationOrdering
 from .relations import (
@@ -520,46 +520,3 @@ def aggro_ghd_join(
     )
     return aggro_yannakakis(region_tree, built, alpha, semiring, domains, stats)
 
-
-def execute_aghd(
-    h: Hypergraph,
-    aghd: Aghd,
-    alpha: AggregationOrdering,
-    relations: Mapping[str, AnnotatedRelation],
-    domains: DomainRegistry,
-    semiring: SemiringSpec,
-    stats: Optional[ExecStats] = None,
-) -> AnnotatedRelation:
-    """Rename product attributes per the partition and run the GHD pipeline."""
-    if not semiring.multiply_idempotent:
-        raise QueryError(
-            f"product aggregation requires idempotent multiplication; "
-            f"semiring {semiring.name!r} is not"
-        )
-    partition = aghd.partition
-    renamed_relations: dict[str, AnnotatedRelation] = {}
-    for e in h.edges:
-        rel = relations[e.name]
-        mapping = {a: partition.copy_of(a, e.name) for a in rel.schema}
-        renamed_relations[e.name] = rel.rename(mapping)
-
-    tops = top_map(aghd.tree)
-    depth = aghd.tree.depths()
-    expanded: list[tuple[str, str]] = []
-    for attr, op in alpha.items:
-        if op == PRODUCT and attr in partition.blocks:
-            copies = sorted(partition.copies(attr), key=lambda c: (depth[tops[c]], c))
-            expanded.extend((c, PRODUCT) for c in copies)
-        else:
-            expanded.append((attr, op))
-    alpha_p = AggregationOrdering(tuple(expanded))
-
-    return aggro_ghd_join(
-        aghd.hypergraph_p,
-        aghd.tree,
-        alpha_p,
-        renamed_relations,
-        semiring,
-        domains.with_copies(aghd.original),
-        stats,
-    )

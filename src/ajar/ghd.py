@@ -134,89 +134,22 @@ def top_map(g: Ghd) -> dict[str, int]:
     return tops
 
 
-@dataclass(frozen=True)
-class ProductPartition:
-    """Per product attribute, a partition of the edges containing it."""
-
-    blocks: dict[str, tuple[frozenset[str], ...]]  # attr -> blocks of edge names
-
-    def validate(self, h: Hypergraph, alpha: AggregationOrdering) -> None:
-        for attr, blocks in self.blocks.items():
-            if alpha.operator(attr) != PRODUCT:
-                raise QueryError(f"{attr!r} is not a product attribute")
-            holders = {e.name for e in h.edges if attr in e.attrs}
-            union: set[str] = set()
-            for block in blocks:
-                if not block:
-                    raise QueryError(f"empty partition block for {attr!r}")
-                if block & union:
-                    raise QueryError(f"overlapping partition blocks for {attr!r}")
-                union |= block
-            if union != holders:
-                raise QueryError(
-                    f"partition for {attr!r} covers {sorted(union)}, "
-                    f"expected {sorted(holders)}"
-                )
-
-    def copy_name(self, attr: str, block_index: int) -> str:
-        return f"{attr}#{block_index + 1}"
-
-    def copy_of(self, attr: str, edge_name: str) -> str:
-        blocks = self.blocks.get(attr)
-        if blocks is None:
-            return attr
-        for k, block in enumerate(blocks):
-            if edge_name in block:
-                return self.copy_name(attr, k)
-        raise QueryError(f"edge {edge_name!r} not assigned a copy of {attr!r}")
-
-    def copies(self, attr: str) -> tuple[str, ...]:
-        blocks = self.blocks.get(attr)
-        if blocks is None:
-            return (attr,)
-        return tuple(self.copy_name(attr, k) for k in range(len(blocks)))
-
-
-def product_partition_hypergraph(
-    h: Hypergraph, alpha: AggregationOrdering, partition: ProductPartition
-) -> Hypergraph:
-    """Split each product attribute into per-block copies and rewrite edges."""
-    partition.validate(h, alpha)
-    new_edges = []
-    for e in h.edges:
-        attrs = frozenset(partition.copy_of(a, e.name) for a in e.attrs)
-        new_edges.append((e.name, attrs))
-    return Hypergraph.build(new_edges)
-
-
-@dataclass
-class Aghd:
-    """GHD over the product partition hypergraph, plus the renaming."""
-
-    tree: Ghd  # bags over renamed attributes
-    partition: ProductPartition
-    hypergraph_p: Hypergraph
-    original: dict[str, str]  # renamed attr -> original attr
-
-
-def tops_above(g: Ghd | Aghd) -> set[tuple[str, str]]:
-    """Pairs (a, b) of attributes where a TOP node of a lies strictly above a
-    TOP node of b.  In an AGHD each copy of a product attribute has its own
-    TOP node and counts under the original name."""
-    tree, original = (g.tree, g.original) if isinstance(g, Aghd) else (g, {})
+def tops_above(g: Ghd) -> set[tuple[str, str]]:
+    """Pairs (a, b) of attributes where the TOP node of a lies strictly above
+    the TOP node of b."""
     topped: dict[int, set[str]] = {}
-    for attr, node in top_map(tree).items():
-        topped.setdefault(node, set()).add(original.get(attr, attr))
+    for attr, node in top_map(g).items():
+        topped.setdefault(node, set()).add(attr)
     above: set[tuple[str, str]] = set()
     for node, below in topped.items():
-        t = tree.parent[node]
+        t = g.parent[node]
         while t is not None:
-            above.update((a, b) for a in topped.get(t, ()) for b in below if a != b)
-            t = tree.parent[t]
+            above.update((a, b) for a in topped.get(t, ()) for b in below)
+            t = g.parent[t]
     return above
 
 
-def is_compatible(g: Ghd | Aghd, beta: AggregationOrdering) -> bool:
+def is_compatible(g: Ghd, beta: AggregationOrdering) -> bool:
     """No attribute may sit above a non-output attribute that precedes it."""
     order = {a: i for i, (a, _) in enumerate(beta.items)}
     return all(
@@ -427,47 +360,44 @@ def stitch(h: Hypergraph, alpha: AggregationOrdering, parts: Sequence[Ghd]) -> G
     return stitch_tree(tree, parts)
 
 
-def aghd_from_stitched(
+def split_products(
     h: Hypergraph, alpha: AggregationOrdering, tree: Ghd
-) -> Aghd:
-    """Derive the product partition a stitched tree induces and rename bags.
-
-    Each product attribute's occurrences fall into connected regions of the
-    tree; each region becomes one renamed copy, and an edge is assigned to
-    the region holding its covering bag.
-    """
+) -> tuple[Ghd, Hypergraph, dict[str, str]]:
+    """Split each product attribute B into one copy per tree region holding
+    it, ``B#k`` for the k-th region in preorder; each edge holding B takes
+    the copy of the region holding its covering bag.  Returns the tree and
+    the body over the copies, and each copy's attribute (attributes sorted,
+    copies in region order); without products, tree, h and {}."""
     prod_attrs = alpha.product_attrs()
-    region_of: dict[str, dict[int, int]] = {}
-    blocks: dict[str, tuple[frozenset[str], ...]] = {}
+    if not prod_attrs:
+        return tree, h, {}
+    copies: dict[str, str] = {}
+    copy_at: dict[tuple[str, int], str] = {}  # (attribute, node) -> its copy there
     for attr in sorted(prod_attrs):
-        regions = tree.regions(t for t, bag in tree.chi.items() if attr in bag)
-        node_region = {t: k for k, region in enumerate(regions) for t in region}
-        region_of[attr] = node_region
-        assigned: list[set[str]] = [set() for _ in regions]
-        for e in h.edges:
-            if attr in e.attrs:
-                cover = _covering_node(tree, e.attrs)
-                assigned[node_region[cover]].add(e.name)
-        if any(not block for block in assigned):
+        holders = [t for t, bag in tree.chi.items() if attr in bag]
+        for k, region in enumerate(tree.regions(holders)):
+            copy = f"{attr}#{k + 1}"
+            copies[copy] = attr
+            for t in region:
+                copy_at[attr, t] = copy
+
+    edges = []
+    for e in h.edges:
+        attrs = e.attrs
+        if attrs & prod_attrs:
+            cover = _covering_node(tree, attrs)
+            attrs = frozenset(copy_at.get((a, cover), a) for a in attrs)
+        edges.append((e.name, attrs))
+    body = Hypergraph.build(edges)
+    for copy, attr in copies.items():
+        if copy not in body.vertices:
             raise InternalError(f"product attribute {attr!r} has an edgeless region")
-        blocks[attr] = tuple(frozenset(block) for block in assigned)
 
-    partition = ProductPartition(blocks=blocks)
-    h_p = product_partition_hypergraph(h, alpha, partition)
-
-    renamed_chi = {}
+    chi = {}
     for t, bag in tree.chi.items():
-        renamed_chi[t] = frozenset(
-            partition.copy_name(a, region_of[a][t]) if a in prod_attrs else a
-            for a in bag
-        )
-    renamed = Ghd(root=tree.root, parent=dict(tree.parent), chi=renamed_chi)
-    original = {
-        partition.copy_name(a, k): a
-        for a in blocks
-        for k in range(len(blocks[a]))
-    }
-    return Aghd(tree=renamed, partition=partition, hypergraph_p=h_p, original=original)
+        chi[t] = frozenset(copy_at.get((a, t), a) for a in bag)
+    split = Ghd(root=tree.root, parent=dict(tree.parent), chi=chi)
+    return split, body, copies
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +409,6 @@ GHD_VERTEX_CAP = 12
 
 def optimal_ghd(
     h: Hypergraph,
-    sizes: Optional[dict[str, int]] = None,
     mode: str = "unit",
     cost_edges: Optional[list[tuple[frozenset[str], Any]]] = None,
 ) -> Ghd:
@@ -488,7 +417,8 @@ def optimal_ghd(
     Dynamic program over eliminated-prefix sets; the bag produced when a
     vertex is eliminated depends only on the set eliminated before it, so
     this searches every elimination order.  Bag costs come from the
-    fractional cover LP over cost_edges (defaults to h's own edges).  At
+    fractional cover LP over cost_edges (by default h's own edges, at unit
+    cost; data mode needs them given, priced by ``cost_edges_for``).  At
     each prefix set the last-eliminated vertex v is scanned in sorted order
     and the first of least cost, max(width of the prefix without v, cost of
     v's bag), wins.
@@ -520,7 +450,7 @@ def optimal_ghd(
     if n == 0:
         return Ghd.single(())
     if cost_edges is None:
-        cost_edges = cost_edges_for(h, sizes, mode)
+        cost_edges = cost_edges_for(h, None, mode)
     exact = mode == "unit"
     bit = {v: 1 << i for i, v in enumerate(verts)}
     adj = [0] * n

@@ -8,19 +8,19 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from .errors import InternalError, QueryError
-from .execution import ExecStats, aggro_ghd_join, counted_semiring, execute_aghd
+from .execution import ExecStats, aggro_ghd_join, counted_semiring
 from .ghd import (
-    Aghd,
     Ghd,
     WidthReport,
-    aghd_from_stitched,
     characteristic_tree,
     contract_redundant,
     cost_edges_for,
     is_compatible,
     is_valid,
     optimal_ghd,
+    split_products,
     stitch_tree,
+    top_map,
     tops_above,
     width,
 )
@@ -37,31 +37,33 @@ from .semirings import PRODUCT, SemiringSpec
 
 @dataclass
 class Plan:
-    """A stitched decomposition with a compatible equivalent ordering."""
+    """A stitched GHD with a compatible equivalent ordering.  The product
+    attributes left after the pre-pass are split into copies
+    (``split_products``); alpha and beta keep the query's attributes."""
 
-    hypergraph: Hypergraph  # post-prepass query body
+    hypergraph: Hypergraph  # post-prepass query body, over the copies
     alpha: AggregationOrdering  # post-prepass ordering
-    ghd: Ghd | Aghd
+    ghd: Ghd  # over the copies
     beta: AggregationOrdering  # compatible ordering, original attribute names
     width_report: WidthReport
     part_hypergraphs: list[Hypergraph]
     part_widths: list[Any]
     prepass: list[tuple[str, str]] = field(default_factory=list)  # (edge, attr)
+    copies: dict[str, str] = field(default_factory=dict)  # copy -> attribute
 
     @property
     def width(self):
         return self.width_report.width
 
     def to_dict(self) -> dict:
-        tree = self.ghd.tree if isinstance(self.ghd, Aghd) else self.ghd
         nodes = [
             {
                 "id": t,
-                "parent": tree.parent[t],
-                "bag": sorted(tree.chi[t]),
+                "parent": self.ghd.parent[t],
+                "bag": sorted(self.ghd.chi[t]),
                 "width": _as_jsonable(self.width_report.per_bag[t]),
             }
-            for t in tree.nodes()
+            for t in self.ghd.nodes()
         ]
         out = {
             "width": _as_jsonable(self.width),
@@ -71,11 +73,13 @@ class Plan:
             "part_widths": [_as_jsonable(w) for w in self.part_widths],
             "prepass": [[e, a] for e, a in self.prepass],
         }
-        if isinstance(self.ghd, Aghd):
-            out["product_partition"] = {
-                attr: [sorted(block) for block in blocks]
-                for attr, blocks in self.ghd.partition.blocks.items()
-            }
+        if self.copies:
+            # per attribute, the atoms holding each of its copies, in region order
+            partition: dict[str, list[list[str]]] = {}
+            for copy, attr in self.copies.items():
+                holders = sorted(e.name for e in self.hypergraph.edges if copy in e.attrs)
+                partition.setdefault(attr, []).append(holders)
+            out["product_partition"] = partition
         return out
 
 
@@ -115,10 +119,16 @@ def _trailing_product_prepass(
 
 
 def _compatible_ordering(
-    tree: Ghd | Aghd, alpha: AggregationOrdering
+    tree: Ghd, alpha: AggregationOrdering, copies: Mapping[str, str]
 ) -> AggregationOrdering:
-    """Topological order of TOP nodes, ties broken by alpha's order."""
-    above = tops_above(tree)
+    """Topological order of TOP nodes, ties broken by alpha's order.  Each
+    copy of a product attribute has its own TOP node and counts under its
+    attribute's name."""
+    above: set[tuple[str, str]] = set()
+    for a, b in tops_above(tree):
+        a, b = copies.get(a, a), copies.get(b, b)
+        if a != b:
+            above.add((a, b))
     pending = list(alpha.attr_list())
     ordered: list[tuple[str, str]] = []
     while pending:
@@ -132,53 +142,62 @@ def _compatible_ordering(
     return AggregationOrdering(tuple(ordered))
 
 
+def _expand_copies(
+    beta: AggregationOrdering, tree: Ghd, copies: Mapping[str, str]
+) -> AggregationOrdering:
+    """beta over the copies: each split attribute gives way to its copies,
+    the shallowest TOP node first (ties by name)."""
+    if not copies:
+        return beta
+    tops = top_map(tree)
+    depth = tree.depths()
+    ranked = sorted(copies, key=lambda c: (depth[tops[c]], c))
+    items: list[tuple[str, str]] = []
+    for attr, op in beta.items:
+        mine = [c for c in ranked if copies[c] == attr] or [attr]
+        items.extend((c, op) for c in mine)
+    return AggregationOrdering(tuple(items))
+
+
 def plan(
     h: Hypergraph,
     alpha: AggregationOrdering,
     sizes: Optional[dict[str, int]] = None,
     mode: str = "unit",
 ) -> Plan:
-    """Optimal GHD per characteristic hypergraph, stitched, with a derived
-    compatible ordering."""
+    """Optimal GHD per characteristic hypergraph, stitched, its product
+    attributes split into copies (``split_products``), contracted, with a
+    derived compatible ordering."""
     for attr in alpha.attrs():
         if attr not in h.vertices:
             raise QueryError(f"ordering attribute {attr!r} not in the query body")
     prepass: list[tuple[str, str]] = []
     if alpha.has_products():
         h, alpha, prepass = _trailing_product_prepass(h, alpha)
-    products = alpha.has_products()
 
     tree = characteristic_tree(h, alpha)
     parts = tree.flatten()
     # bags are priced against the real relations, never interface edges
     cost = cost_edges_for(h, sizes, mode)
-    part_ghds = [
-        optimal_ghd(part.hypergraph, sizes=None, mode=mode, cost_edges=cost)
-        for part in parts
-    ]
+    part_ghds = [optimal_ghd(part.hypergraph, mode=mode, cost_edges=cost) for part in parts]
     stitched = stitch_tree(tree, part_ghds)
-    decomposition: Ghd | Aghd = _contract(stitched, products)
-    if products:
-        decomposition = aghd_from_stitched(h, alpha, decomposition)
-    beta = _compatible_ordering(decomposition, alpha)
+    split, body, copies = split_products(h, alpha, stitched)
+    # every split bag priced once; each kept bag carries its entry
+    split_report = width(split, body, sizes, mode)
+    part_widths = _regroup_part_widths(part_ghds, split_report)
+    decomposition = _contract(split, bool(copies))
+    by_bag = {split.chi[t]: w for t, w in split_report.per_bag.items()}
+    report = WidthReport.collect(mode, {t: by_bag[bag] for t, bag in decomposition.chi.items()})
+
+    beta = _compatible_ordering(decomposition, alpha, copies)
     if not test_equivalence(h, alpha, beta):
         raise InternalError("derived ordering is not equivalent to the query's")
-    if not is_compatible(decomposition, beta):
+    if not is_compatible(decomposition, _expand_copies(beta, decomposition, copies)):
         raise InternalError("stitched decomposition incompatible with derived ordering")
-    if not products and not is_valid(compute_prec(h, alpha), decomposition):
+    if not copies and not is_valid(compute_prec(h, alpha), decomposition):
         raise InternalError("stitched GHD is not valid")
-    if products:
-        report = width(decomposition.tree, decomposition.hypergraph_p, sizes, mode)
-        part_widths = _regroup_part_widths(part_ghds, report)
-    else:
-        # every stitched bag priced once; each kept bag carries its entry
-        stitched_report = width(stitched, h, sizes, mode)
-        part_widths = _regroup_part_widths(part_ghds, stitched_report)
-        by_bag = {stitched.chi[t]: w for t, w in stitched_report.per_bag.items()}
-        report = WidthReport.collect(
-            mode, {t: by_bag[bag] for t, bag in decomposition.chi.items()}
-        )
-    return Plan(h, alpha, decomposition, beta, report, [p.hypergraph for p in parts], part_widths, prepass)
+    part_hypergraphs = [p.hypergraph for p in parts]
+    return Plan(body, alpha, decomposition, beta, report, part_hypergraphs, part_widths, prepass, copies)
 
 
 def _contract(g: Ghd, products: bool) -> Ghd:
@@ -190,9 +209,10 @@ def _contract(g: Ghd, products: bool) -> Ghd:
     strict-ancestor pairs of TOP nodes, so validity and compatibility hold.
     An empty root left with several children (no outputs) passes the root to
     its first child; the others share no attribute with it and hang below.
-    Product parts can share a product attribute, and hanging one below
-    another would order the TOP nodes of its copies, so with products only a
-    lone child replaces an empty root and nothing else folds."""
+    With products g is already split into copies, and sibling parts can hold
+    copies of one product attribute; hanging one below another would order
+    the TOP nodes of those copies, so with products only a lone child
+    replaces an empty root and nothing else folds."""
     if not products:
         g = contract_redundant(g, lone_child_only=True)
     kids = g.children_map()[g.root]
@@ -206,9 +226,9 @@ def _contract(g: Ghd, products: bool) -> Ghd:
 
 
 def _regroup_part_widths(part_ghds: list[Ghd], report: WidthReport) -> list[Any]:
-    """Per-part widths read off the stitched bags' report, so no cover LP is
-    solved twice.  Stitching numbers the bags part by part in part order; an
-    empty root dropped from a product plan leaves its part width zero."""
+    """Per-part widths read off the report of the stitched bags, before
+    contraction, so no cover LP is solved twice.  Stitching numbers the bags
+    part by part in part order."""
     widths, start = [], 0
     for g in part_ghds:
         end = start + len(g.chi)
@@ -225,51 +245,47 @@ def run(
     semiring: SemiringSpec,
     stats: Optional[ExecStats] = None,
 ) -> AnnotatedRelation:
-    """Execute a plan; result equals the naive evaluation."""
+    """Execute a plan; result equals the naive evaluation.  Each relation's
+    product attributes are renamed to the copies its atom holds."""
+    live = {e.name for e in query_plan.hypergraph.edges}
+    collapsed = {edge for edge, _ in query_plan.prepass} - live
+    for name in sorted(live | collapsed):
+        if name not in relations:
+            raise QueryError(f"no relation given for atom {name!r}")
+    copies = query_plan.copies
+    if domains is None and (query_plan.prepass or copies):
+        raise QueryError("product aggregation needs attribute domains")
     counted = counted_semiring(semiring, stats)
     working = dict(relations)
-    scalars: list[AnnotatedRelation] = []
     for edge_name, attr in query_plan.prepass:
-        if domains is None:
-            raise QueryError("product aggregation needs attribute domains")
-        working[edge_name] = product_aggregate(
-            working[edge_name], attr, domains, counted
-        )
+        working[edge_name] = product_aggregate(working[edge_name], attr, domains, counted)
     for e in query_plan.hypergraph.edges:
         rel = working[e.name]
-        if frozenset(rel.schema) != e.attrs:
+        to_copy = {copies.get(a, a): a for a in e.attrs}  # attribute -> its copy here
+        if frozenset(rel.schema) != to_copy.keys():
             raise QueryError(
-                f"relation {e.name!r} has schema {rel.schema}, expected {sorted(e.attrs)}"
+                f"relation {e.name!r} has schema {rel.schema}, expected {sorted(to_copy)}"
             )
-    live = {e.name for e in query_plan.hypergraph.edges}
-    for name in sorted({edge for edge, _ in query_plan.prepass} - live):
+        if copies:
+            working[e.name] = rel.rename(to_copy)
+    scalars: list[AnnotatedRelation] = []
+    for name in sorted(collapsed):
         # relation fully collapsed by the pre-pass: joins in as a scalar
         if working[name].schema:
             raise InternalError(f"dropped edge {name!r} still has attributes")
         scalars.append(working[name])
 
-    if isinstance(query_plan.ghd, Aghd):
-        if domains is None:
-            raise QueryError("product aggregation needs attribute domains")
-        result = execute_aghd(
-            query_plan.hypergraph,
-            query_plan.ghd,
-            query_plan.beta,
-            working,
-            domains,
-            semiring,
-            stats,
-        )
-    else:
-        result = aggro_ghd_join(
-            query_plan.hypergraph,
-            query_plan.ghd,
-            query_plan.beta,
-            working,
-            semiring,
-            domains,
-            stats,
-        )
+    if copies:
+        domains = domains.with_copies(copies)
+    result = aggro_ghd_join(
+        query_plan.hypergraph,
+        query_plan.ghd,
+        _expand_copies(query_plan.beta, query_plan.ghd, copies),
+        working,
+        semiring,
+        domains,
+        stats,
+    )
     for scalar in scalars:
         result = join([result, scalar], counted)
     return result

@@ -20,19 +20,11 @@ from ajar import (
     QueryError,
     aggro_ghd_join,
     aggro_yannakakis,
-    execute_aghd,
     generic_join,
     get_semiring,
     join,
 )
-from ajar.ghd import (
-    aghd_from_stitched,
-    characteristic_tree,
-    is_compatible,
-    is_ghd,
-    optimal_ghd,
-    stitch_tree,
-)
+from ajar.ghd import is_compatible, is_ghd
 from ajar.oracle import RandomInstanceSpec, naive_eval
 from ajar import execution, planner
 from ajar.planner import plan, run
@@ -803,59 +795,35 @@ class TestAggroGhdJoin:
 
 
 class TestExecuteAghd:
-    def _aghd(self, h, alpha):
-        tree = characteristic_tree(h, alpha)
-        cost = [(e.attrs, 1) for e in h.edges]
-        ghds = [optimal_ghd(p.hypergraph, cost_edges=cost) for p in tree.flatten()]
-        return aghd_from_stitched(h, alpha, stitch_tree(tree, ghds))
+    """Product plans, GHDs over copies of their product attributes, through
+    plan and run."""
 
     def test_trivial_partition_matches_naive(self, chain_h):
         sr = get_semiring("bool01")
         alpha = ordering(("B", PRODUCT), ("A", "max"), ("C", "max"))
         inst = RandomInstanceSpec(semiring_name="bool01", domain_size=2, density=0.8, seed=3).instance(chain_h)
         doms = DomainRegistry.from_declarations({}, inst)
-        aghd = self._aghd(chain_h, alpha)
-        got = execute_aghd(chain_h, aghd, alpha, inst, doms, sr)
+        p = plan(chain_h, alpha)
+        assert p.copies
+        got = run(p, inst, doms, sr)
         assert got == naive_eval(chain_h, alpha, inst, doms, sr)
 
-    def test_single_block_partition_is_plain_evaluation(self, chain_h):
-        # one block per product attribute: renaming is the identity up to
-        # the copy suffix, so the AGHD path reduces to ordinary evaluation
-        from ajar.ghd import Aghd, ProductPartition, product_partition_hypergraph
-
-        sr = get_semiring("bool01")
-        alpha = ordering(("B", PRODUCT), ("A", "max"), ("C", "max"))
-        partition = ProductPartition(blocks={"B": (frozenset({"R", "S"}),)})
-        hp = product_partition_hypergraph(chain_h, alpha, partition)
-        aghd = Aghd(
-            tree=Ghd.single(("A", "B#1", "C")),
-            partition=partition,
-            hypergraph_p=hp,
-            original={"B#1": "B"},
-        )
-        for seed in range(12):
-            inst = RandomInstanceSpec(
-                semiring_name="bool01", domain_size=2, density=0.8, seed=400 + seed
-            ).instance(chain_h)
-            doms = DomainRegistry.from_declarations({}, inst)
-            got = execute_aghd(chain_h, aghd, alpha, inst, doms, sr)
-            assert got == naive_eval(chain_h, alpha, inst, doms, sr)
-
     def test_non_idempotent_rejected(self, chain_h, int_sr, fig1):
-        alpha = ordering(("B", PRODUCT), ("A", "max"), ("C", "max"))
-        aghd = self._aghd(chain_h, alpha)
+        alpha = ordering(("B", PRODUCT), ("A", "sum"), ("C", "sum"))
+        p = plan(chain_h, alpha)
+        assert p.copies
         doms = DomainRegistry.from_declarations({}, fig1)
-        with pytest.raises(QueryError):
-            execute_aghd(chain_h, aghd, alpha, fig1, doms, int_sr)
+        with pytest.raises(QueryError, match="idempotent"):
+            run(p, fig1, doms, int_sr)
 
     def test_random_product_instances(self, chain_h):
         sr = get_semiring("bool01")
         alpha = ordering(("B", PRODUCT), ("A", "max"), ("C", "max"))
-        aghd = self._aghd(chain_h, alpha)
+        p = plan(chain_h, alpha)
         for seed in range(30):
             inst = RandomInstanceSpec(
                 semiring_name="bool01", domain_size=2, density=0.7, seed=seed
             ).instance(chain_h)
             doms = DomainRegistry.from_declarations({}, inst)
-            got = execute_aghd(chain_h, aghd, alpha, inst, doms, sr)
+            got = run(p, inst, doms, sr)
             assert got == naive_eval(chain_h, alpha, inst, doms, sr)

@@ -10,7 +10,6 @@ from ajar import (
     Hypergraph,
     InternalError,
     PRODUCT,
-    ProductPartition,
     QueryError,
     characteristic_hypergraphs,
     compute_prec,
@@ -20,7 +19,7 @@ from ajar import (
     is_valid,
     linear_extensions,
     optimal_ghd,
-    product_partition_hypergraph,
+    split_products,
     stitch,
     top_map,
     width,
@@ -29,7 +28,6 @@ from ajar import ghd as ghd_module
 from ajar.ghd import (
     GHD_VERTEX_CAP,
     _front_set,
-    aghd_from_stitched,
     characteristic_tree,
     cost_edges_for,
     stitch_tree,
@@ -385,7 +383,7 @@ class TestOptimalGhd:
                         neighbours[u].discard(v)
                     del neighbours[v]
                 best = worst if best is None else min(best, worst)
-            g = optimal_ghd(h, sizes=sizes, mode=mode)
+            g = optimal_ghd(h, mode=mode, cost_edges=cost)
             assert is_ghd(h, g)
             assert width(g, h, sizes, mode).width == best
 
@@ -500,39 +498,59 @@ class TestNormalizeDecomposable:
                 assert any(bag <= old for old in old_bags)
 
 
-class TestProductPartition:
-    def test_no_products_identity(self, chain_h):
-        hp = product_partition_hypergraph(chain_h, ordering(), ProductPartition(blocks={}))
-        assert hp.vertices == chain_h.vertices
+def _star(bags):
+    """An empty root with one child per bag."""
+    parent = {0: None, **{i: 0 for i in range(1, len(bags) + 1)}}
+    chi = {0: frozenset(), **{i: frozenset(b) for i, b in enumerate(bags, 1)}}
+    return Ghd(root=0, parent=parent, chi=chi)
 
-    def test_split_shared_attribute(self, chain_h):
-        alpha = ordering(("B", PRODUCT))
-        partition = ProductPartition(blocks={"B": (frozenset({"R"}), frozenset({"S"}))})
-        hp = product_partition_hypergraph(chain_h, alpha, partition)
-        assert hp.vertices == {"A", "B#1", "B#2", "C"}
-        assert sorted(sorted(e.attrs) for e in hp.edges) == [["A", "B#1"], ["B#2", "C"]]
+
+class TestProductPartition:
+    """split_products: the copies, one per tree region, that a tree gives
+    each product attribute, and the body's edges renamed to them."""
+
+    def test_no_products_identity(self, chain_h):
+        g = Ghd.single(("A", "B", "C"))
+        tree, body, copies = split_products(chain_h, ordering(("B", "sum")), g)
+        assert tree is g and body is chain_h and copies == {}
 
     def test_single_block_keeps_attribute(self, chain_h):
-        alpha = ordering(("B", PRODUCT))
-        partition = ProductPartition(blocks={"B": (frozenset({"R", "S"}),)})
-        hp = product_partition_hypergraph(chain_h, alpha, partition)
-        assert hp.vertices == {"A", "B#1", "C"}
-        assert sorted(sorted(e.attrs) for e in hp.edges) == [["A", "B#1"], ["B#1", "C"]]
+        alpha = ordering(("B", PRODUCT), ("A", "max"))
+        tree, body, copies = split_products(chain_h, alpha, Ghd.single(("A", "B", "C")))
+        assert copies == {"B#1": "B"}
+        assert tree.chi == {0: frozenset({"A", "B#1", "C"})}
+        assert sorted(sorted(e.attrs) for e in body.edges) == [["A", "B#1"], ["B#1", "C"]]
 
-    def test_malformed_partition_rejected(self, chain_h):
-        alpha = ordering(("B", PRODUCT))
-        with pytest.raises(QueryError):
-            product_partition_hypergraph(
-                chain_h, alpha, ProductPartition(blocks={"B": (frozenset({"R"}),)})
-            )
+    def test_split_shared_attribute(self, chain_h):
+        alpha = ordering(("B", PRODUCT), ("A", "max"), ("C", "max"))
+        tree, body, copies = split_products(chain_h, alpha, _star([("A", "B"), ("B", "C")]))
+        assert copies == {"B#1": "B", "B#2": "B"}
+        assert tree.chi == {0: frozenset(), 1: frozenset({"A", "B#1"}), 2: frozenset({"B#2", "C"})}
+        assert {e.name: sorted(e.attrs) for e in body.edges} == {
+            "R": ["A", "B#1"],
+            "S": ["B#2", "C"],
+        }
+        assert is_ghd(body, tree)
 
-    def test_aghd_from_stitched_regions(self, chain_h):
+    def test_copies_listed_in_region_order(self):
+        # eleven regions: B#10 and B#11 follow B#9, not B#1
+        h = Hypergraph.build([(f"E{i}", ("B", f"X{i}")) for i in range(1, 12)])
+        alpha = ordering(("B", PRODUCT), *[(f"X{i}", "max") for i in range(1, 12)])
+        tree, body, copies = split_products(h, alpha, _star([("B", f"X{i}") for i in range(1, 12)]))
+        assert list(copies) == [f"B#{k}" for k in range(1, 12)]
+        assert {e.name: e.attrs for e in body.edges}["E10"] == {"B#10", "X10"}
+
+    def test_edgeless_region_rejected(self, chain_h):
+        alpha = ordering(("B", PRODUCT), ("A", "max"), ("C", "max"))
+        with pytest.raises(InternalError, match="'B'"):
+            split_products(chain_h, alpha, _star([("A", "B"), ("B", "C"), ("B",)]))
+
+    def test_split_stitched_tree_is_a_ghd_of_the_body(self, chain_h):
         alpha = ordering(("B", PRODUCT), ("A", "max"), ("C", "max"))
         tree = characteristic_tree(chain_h, alpha)
         parts = tree.flatten()
         cost = [(e.attrs, 1) for e in chain_h.edges]
         ghds = [optimal_ghd(p.hypergraph, cost_edges=cost) for p in parts]
-        stitched = stitch_tree(tree, ghds)
-        aghd = aghd_from_stitched(chain_h, alpha, stitched)
-        aghd.partition.validate(chain_h, alpha)
-        assert is_ghd(aghd.hypergraph_p, aghd.tree)
+        split, body, copies = split_products(chain_h, alpha, stitch_tree(tree, ghds))
+        assert copies == {"B#1": "B", "B#2": "B"}
+        assert is_ghd(body, split)

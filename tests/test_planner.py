@@ -7,7 +7,6 @@ import pytest
 from ajar import (
     AggregationOrdering,
     AnnotatedRelation,
-    Aghd,
     DomainRegistry,
     Hypergraph,
     INF,
@@ -138,7 +137,7 @@ class TestPlan:
     def test_product_plan_exports_partition(self, chain_h):
         alpha = ordering(("B", PRODUCT), ("A", "max"), ("C", "max"))
         p = plan(chain_h, alpha)
-        assert isinstance(p.ghd, Aghd)
+        assert p.copies == {"B#1": "B", "B#2": "B"}
         payload = p.to_dict()
         assert "product_partition" in payload
         assert is_equivalent(chain_h, p.alpha, p.beta)
@@ -324,6 +323,120 @@ class TestRun:
             want = naive_eval(h, alpha, inst, doms, sr)
             got = run(plan(h, alpha), inst, doms, sr)
             assert got == want, (name, alpha.items, [(e.name, sorted(e.attrs)) for e in h.edges])
+
+
+    def test_missing_relation_names_its_atom(self, fig1, int_sr, chain_h):
+        p = plan(chain_h, ordering(("C", "sum"), ("B", "sum")))
+        with pytest.raises(QueryError, match="'S'"):
+            run(p, {"R": fig1["R"]}, None, int_sr)
+
+    def test_missing_prepass_relation_names_its_atom(self, chain_h):
+        # both atoms collapse in the pre-pass, so no live atom reads S
+        sr = get_semiring("bool01")
+        p = plan(chain_h, ordering(("B", PRODUCT)))
+        assert [e for e, _ in p.prepass] == ["R", "S"]
+        r = AnnotatedRelation(("A", "B"), {(0, 0): 1, (0, 1): 1})
+        doms = DomainRegistry.from_declarations({"B": [0, 1]}, {"R": r})
+        with pytest.raises(QueryError, match="'S'"):
+            run(p, {"R": r}, doms, sr)
+
+
+class TestProductPlanPins:
+    """The exact plans of product queries, and their answers checked against
+    the naive evaluation."""
+
+    CASES = {
+        "one-copy": (
+            [("R", ("A", "B")), ("S", ("A", "B")), ("T", ("A",))],
+            [("A", PRODUCT), ("B", "max")],
+            {
+                "width": 1,
+                "mode": "unit",
+                "nodes": [
+                    {"id": 1, "parent": None, "bag": ["A#1"], "width": 1},
+                    {"id": 2, "parent": 1, "bag": ["A#1", "B"], "width": 1},
+                ],
+                "ordering": [["A", "prod"], ["B", "max"]],
+                "part_widths": [0, 1, 1],
+                "prepass": [["T", "A"]],
+                "product_partition": {"A": [["R", "S"]]},
+            },
+        ),
+        # demos/05's p2
+        "chain": (
+            [("R", ("A", "B")), ("S", ("B", "C"))],
+            [("B", PRODUCT), ("A", "max"), ("C", "max")],
+            {
+                "width": 1,
+                "mode": "unit",
+                "nodes": [
+                    {"id": 0, "parent": None, "bag": [], "width": 0},
+                    {"id": 1, "parent": 0, "bag": ["B#1"], "width": 1},
+                    {"id": 2, "parent": 1, "bag": ["A", "B#1"], "width": 1},
+                    {"id": 3, "parent": 0, "bag": ["B#2"], "width": 1},
+                    {"id": 4, "parent": 3, "bag": ["B#2", "C"], "width": 1},
+                ],
+                "ordering": [["B", "prod"], ["A", "max"], ["C", "max"]],
+                "part_widths": [0, 1, 1, 1, 1],
+                "prepass": [],
+                "product_partition": {"B": [["R"], ["S"]]},
+            },
+        ),
+        # demos/05's p: both atoms end with the product, so only the pre-pass runs it
+        "trailing": (
+            [("R", ("A", "B")), ("S", ("B", "C"))],
+            [("B", PRODUCT)],
+            {
+                "width": 1,
+                "mode": "unit",
+                "nodes": [
+                    {"id": 0, "parent": None, "bag": ["A"], "width": 1},
+                    {"id": 1, "parent": 0, "bag": ["C"], "width": 1},
+                ],
+                "ordering": [],
+                "part_widths": [1],
+                "prepass": [["R", "B"], ["S", "B"]],
+            },
+        ),
+        # X3 falls in two regions, one below each of the root's children
+        "two-copies": (
+            [("E0", ("X1",)), ("E1", ("X0", "X3", "X4")), ("E2", ("X2", "X3", "X5"))],
+            [("X5", PRODUCT), ("X3", PRODUCT), ("X4", "max"), ("X0", "max"),
+             ("X1", PRODUCT), ("X2", "max")],
+            {
+                "width": 1,
+                "mode": "unit",
+                "nodes": [
+                    {"id": 0, "parent": None, "bag": [], "width": 0},
+                    {"id": 1, "parent": 0, "bag": ["X3#1"], "width": 1},
+                    {"id": 2, "parent": 1, "bag": ["X0", "X3#1", "X4"], "width": 1},
+                    {"id": 3, "parent": 0, "bag": ["X5#1"], "width": 1},
+                    {"id": 4, "parent": 3, "bag": ["X3#2", "X5#1"], "width": 1},
+                    {"id": 5, "parent": 4, "bag": ["X2", "X3#2", "X5#1"], "width": 1},
+                ],
+                "ordering": [["X5", "prod"], ["X3", "prod"], ["X4", "max"],
+                             ["X0", "max"], ["X2", "max"]],
+                "part_widths": [0, 1, 1, 1, 1, 1],
+                "prepass": [["E0", "X1"]],
+                "product_partition": {"X3": [["E1"], ["E2"]], "X5": [["E2"]]},
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_plan_and_answers(self, name):
+        edges, items, want = self.CASES[name]
+        h = Hypergraph.build(edges)
+        alpha = AggregationOrdering(tuple(items))
+        p = plan(h, alpha)
+        assert p.to_dict() == want
+        sr = get_semiring("bool01")
+        for seed in range(20):
+            inst = RandomInstanceSpec(
+                semiring_name="bool01", domain_size=2, density=0.8, seed=seed
+            ).instance(h)
+            doms = DomainRegistry.from_declarations({}, inst)
+            assert run(p, inst, doms, sr) == naive_eval(h, alpha, inst, doms, sr), seed
 
 
 class TestTransitiveClosure:

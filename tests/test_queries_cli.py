@@ -494,10 +494,15 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {os.strerror(errno.EPIPE)}\n"
 
     def test_console_entry_point(self, worked_example_dir):
+        # the source tree on the child's path, as pytest's own pythonpath puts it
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "ajar.cli", "plan", str(worked_example_dir / "q.aj")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "width: 1" in proc.stdout
