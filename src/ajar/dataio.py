@@ -219,20 +219,32 @@ def _read_json_object(path: str | Path, what: str) -> dict:
     return raw
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_domains_json(
     path: Optional[str | Path],
     relations: Mapping[str, AnnotatedRelation],
 ) -> DomainRegistry:
-    """Map attribute -> explicit value list or "active"; default active."""
+    """Map attribute -> explicit value list or "active"; default active.
+    A listed value is an integer or a string, parsed as a CSV cell is."""
     declarations = {}
     if path is not None:
         for attr, decl in _read_json_object(path, "domains").items():
             if decl == "active":
                 declarations[attr] = "active"
             elif isinstance(decl, list):
+                for v in decl:
+                    if not _is_int(v) and not isinstance(v, str):
+                        raise QueryError(
+                            f"{path}: domain for {attr!r} holds {v!r}, "
+                            "which is not an integer or a string"
+                        )
                 declarations[attr] = [parse_value(str(v)) for v in decl]
             else:
-                raise QueryError(f"domain for {attr!r} must be a list or \"active\"")
+                raise QueryError(f"{path}: domain for {attr!r} must be a list or \"active\"")
     return DomainRegistry.from_declarations(declarations, relations)
 
 
@@ -240,8 +252,8 @@ def load_stats_json(path: str | Path) -> dict[str, int]:
     """Map relation name -> cardinality."""
     sizes = {}
     for name, value in _read_json_object(path, "stats").items():
-        if not isinstance(value, int) or value <= 0:
-            raise QueryError(f"size for {name!r} must be a positive integer")
+        if not _is_int(value) or value <= 0:
+            raise QueryError(f"{path}: size for {name!r} must be a positive integer")
         sizes[name] = value
     return sizes
 

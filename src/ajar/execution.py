@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
-from itertools import repeat, tee
+from itertools import compress, repeat, tee
 from operator import and_, ne
 from typing import Container, Mapping, Optional
 
@@ -107,18 +107,21 @@ def generic_join(
     expanded last, outermost first, and each level folds what the levels below
     it return, so the joined tuples are never stored.  The other attributes
     come first, cheapest candidate sets first, and form the output schema.
-    ``sum``/``max``/``min`` fold with one ``reduce`` of the semiring's
-    additive operator per level visit.  On the last level it runs over the
-    leaf products, with no Python frame per tuple for built-in operators;
-    which weighted tries reach that level is fixed once per call.  When the
-    last level folds additively, the level above folds it under all its
-    values at once.  The last level's tries that are active on the level
+    ``sum``/``max``/``min`` fold with ``SemiringSpec.fold``: one built-in
+    ``sum``, ``min`` or ``max`` call per level visit (``reduce`` for any other
+    operator), so no Python code runs per element, not even a comparison with
+    min-plus's infinite zero.  On the last level it runs over the leaf
+    products; which weighted tries reach that level is fixed once per call.
+    When the last level folds additively, the level above folds it under all
+    its values at once.  The last level's tries that are active on the level
     above too (the varying ones) change node with its value; the others (the
     fixed ones) keep theirs through a visit, so their keys are intersected
     once per visit.  Each value's keys, products and fold are then ``map``s
     over the visit's values, with no Python function run per value, and in
-    the same factor order as on the last level itself.  The last free level
-    stores what the levels below it return, without a call per value.
+    the same factor order as on the last level itself.  With no weighted
+    factor there, a value's fold is the ⊕ of n ones, n its number of keys,
+    computed once per n in a call.  The last free level stores what the
+    levels below it return with one ``dict.update`` that skips zeros.
     ``prod`` keeps a group only if its nonzero values cover the attribute's
     whole domain, as ``product_aggregate`` does.  An atom whose annotations
     are all one only filters: it never enters a multiplication.  Like a
@@ -126,12 +129,12 @@ def generic_join(
     values that orders the free attributes once per tuple map and column.
     """
     fold = fold or AggregationOrdering(())
-    steps = []  # per fold level: (additive operator, None) or (None, domain)
+    steps = []  # per fold level: (additive fold, None) or (None, domain)
     for attr, op in fold.items:
         if attr not in h.vertices:
             raise QueryError(f"cannot aggregate unknown attribute {attr!r}")
         if op != PRODUCT:
-            steps.append((semiring.additive(op), None))
+            steps.append((semiring.fold(op), None))
             continue
         if domains is None:
             raise QueryError("product aggregation needs attribute domains")
@@ -196,7 +199,7 @@ def generic_join(
     bottom = len(order) - 1
     width = len(free)
     # the last level folds additively: it runs inside the loop of the level above
-    add_last = steps[-1][0] if fold.items and steps[-1][1] is None else None
+    fold_last = steps[-1][0] if fold.items and steps[-1][1] is None else None
     # the last level's factors: weighted tries whose leaf dicts reach it, then
     # weighted tries that ended above it with one annotation
     weighted = [i for i, rel in enumerate(rels) if weighty[id(rel.tuples)]]
@@ -206,9 +209,10 @@ def generic_join(
     # last level's tries active there too change node with its value (the
     # varying ones), the others (the fixed ones) keep theirs through a visit
     above = bottom - 1
-    fold_above = add_last is not None and above >= 0
+    fold_above = fold_last is not None and above >= 0
     varying = [i for i in active[bottom] if i in active[above]] if above >= 0 else []
     fixed = [i for i in active[bottom] if i not in varying]
+    ones: dict = {}  # with no weighted factor on the last level: n -> ⊕ of n ones
 
     def hits(level: int, nodes: list):
         """The values every active trie holds at this level.  ``&`` of two
@@ -248,7 +252,12 @@ def generic_join(
             common = reduce(and_, sorted(map(dict.keys, map(nodes.__getitem__, fixed)), key=len))
             streams.append(repeat(common, n))
         keys = reduce(partial(map, and_), streams)
-        copies = iter(tee(keys, len(deep) + len(ended) or 1))
+        if not deep and not ended:  # each value folds n ones, n its key count
+            counts = list(map(len, keys))
+            for k in set(counts).difference(ones):
+                ones[k] = fold_last(repeat(one, k))
+            return list(map(ones.__getitem__, counts))
+        copies = iter(tee(keys, len(deep) + len(ended)))
         factors = []
         for i in deep:
             if i in leaves:
@@ -259,10 +268,10 @@ def generic_join(
         for i in ended:  # one annotation per value if the trie ended at the level above
             scalars = map(nodes[i].__getitem__, values) if i in active[above] else repeat(nodes[i])
             factors.append(map(repeat, scalars, map(len, next(copies))))
-        prods = None if factors else map(repeat, repeat(one), map(len, next(copies)))
-        for factor in factors:
-            prods = factor if prods is None else map(map, repeat(mul), prods, factor)
-        return list(map(reduce, repeat(add_last), prods, repeat(zero)))
+        prods, *rest = factors
+        for factor in rest:
+            prods = map(map, repeat(mul), prods, factor)
+        return list(map(fold_last, prods))
 
     def below(level: int, nodes: list):
         """The values of level, and the fold of the levels under each."""
@@ -282,10 +291,10 @@ def generic_join(
 
     def folded(level: int, nodes: list):
         """The fold over order[level:] of the leaf products below nodes."""
-        add, domain = steps[level - width]
+        fold_of, domain = steps[level - width]
         values, lams = below(level, nodes)
-        if domain is None:  # zero is the identity of every additive operator
-            return reduce(add, lams, zero)
+        if domain is None:
+            return fold_of(lams)
         acc = None
         seen = 0
         for value, lam in zip(values, lams):
@@ -307,10 +316,10 @@ def generic_join(
 
     def expand(level: int, nodes: list) -> None:
         if level + 1 == width:  # the last free level stores what lies below
-            prefix = tuple(assignment)
-            for value, lam in zip(*below(level, nodes)):
-                if lam != zero:
-                    store[prefix + (value,)] = lam
+            values, lams = below(level, nodes)
+            lams = list(lams)  # read twice; the bottom level's products are a map
+            rows = map(tuple(assignment).__add__, zip(values))
+            store.update(compress(zip(rows, lams), map(ne, lams, repeat(zero))))
             return
         act = active[level]
         child = nodes.copy()

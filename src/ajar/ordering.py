@@ -95,8 +95,11 @@ class Violation:
     later: str  # head attribute that tried to commute past it
     rule: str
     path: tuple[str, ...] = ()
+    detail: str = ""  # what a mismatch names, in place of earlier and later
 
     def __str__(self):
+        if self.detail:
+            return f"{self.rule}: {self.detail}"
         return (
             f"{self.rule}: {self.earlier!r} cannot commute past {self.later!r}"
             + (f" (path {' - '.join(self.path)})" if self.path else "")
@@ -104,10 +107,21 @@ class Violation:
 
 
 def _precheck(alpha: AggregationOrdering, beta: AggregationOrdering) -> Optional[Violation]:
-    if alpha.attrs() != beta.attrs():
-        return Violation("", "", "attribute-sets-differ")
-    if alpha.operators() != beta.operators():
-        return Violation("", "", "operators-differ")
+    """The attributes only one ordering aggregates, else the first attribute
+    of alpha that beta aggregates by another operator, else None."""
+    sides = [
+        f"only the {side} ordering aggregates {', '.join(map(repr, sorted(attrs)))}"
+        for side, attrs in (("first", alpha.attrs() - beta.attrs()),
+                            ("second", beta.attrs() - alpha.attrs()))
+        if attrs
+    ]
+    if sides:
+        return Violation("", "", "attribute-sets-differ", detail="; ".join(sides))
+    ops = beta.operators()
+    for attr, op in alpha.items:
+        if ops[attr] != op:
+            return Violation("", "", "operators-differ",
+                             detail=f"{attr!r} is {op} in the first ordering, {ops[attr]} in the second")
     return None
 
 

@@ -11,7 +11,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from functools import partial, reduce
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import QueryError
 
@@ -73,6 +74,18 @@ class SemiringSpec:
             raise QueryError(
                 f"semiring {self.name!r} has no additive operator {op_name!r}"
             ) from None
+
+    def fold(self, op_name: str) -> Callable[[Iterable], Any]:
+        """The fold of ``op_name`` over an iterable: ``reduce(op, it, zero)``,
+        as one built-in call where the operator is ``operator.add``, ``min``
+        or ``max`` (annotations are never floats, so ``sum`` adds exactly)."""
+        op = self.additive(op_name)
+        zero = self.zero
+        if op is operator.add:
+            return partial(sum, start=zero)
+        if op is min or op is max:
+            return partial(op, default=zero)
+        return lambda values: reduce(op, values, zero)
 
     def knows_op(self, op_name: str) -> bool:
         return op_name == PRODUCT or op_name in self.additive_ops

@@ -23,12 +23,17 @@ from ajar import (
     generic_join,
     get_semiring,
     join,
+    register_semiring,
 )
 from ajar.ghd import is_compatible, is_ghd
 from ajar.oracle import RandomInstanceSpec, naive_eval
-from ajar import execution, planner
+from ajar import execution, planner, semirings
 from ajar.planner import plan, run
 from conftest import chain, ordering, random_query
+
+# int with ⊕ a plain Python function, which generic_join folds by reduce
+register_semiring(dataclasses.replace(
+    get_semiring("int"), name="int-fn", additive_ops={"sum": lambda a, b: a + b}))
 
 
 def two_node_tree(r, s):
@@ -263,6 +268,8 @@ class TestGenericJoin:
         ("minplus", [("E", "AB"), ("R1", "BC"), ("S", "BC")],
          [("A", "min"), ("B", "min"), ("C", "min")]),
         ("int", [("R", "AB"), ("T", "AC")], [("A", "sum"), ("B", "sum"), ("C", "sum")]),
+        # a ⊕ that is a plain Python function, folded by reduce
+        ("int-fn", [("S", "BC"), ("T", "AC")], [("A", "sum"), ("B", "sum"), ("C", "sum")]),
     ])
     def test_last_level_shapes(self, data, atoms, fold):
         # each shape of the last level against folding the whole join, over
@@ -270,6 +277,7 @@ class TestGenericJoin:
         name, weights = {
             "int": ("int", [-2, -1, 1, 2, 3]), "int-split": ("int", [-2, -1, 1, 2, 3]),
             "int1": ("int", [1]), "qplus": ("qplus", [Fraction(1, 2), 1, 3]),
+            "int-fn": ("int-fn", [-2, -1, 1, 2, 3]),
             "minplus": ("minplus", [0, 2, 5]), "bool01": ("bool01", [1]),
         }[data]
         calls = []
@@ -305,34 +313,41 @@ class TestGenericJoin:
 
     def test_level_above_last_fold_calls_no_function_per_value(self, int_sr):
         # an all-one triangle count folds C under all of a visit's B values at
-        # once, so the Python calls from execution.py grow with the values of
-        # A, the first level, not with the edges; an upper bound, as newer
-        # Pythons inline comprehensions
+        # once, so the Python calls from execution.py and semirings.py grow
+        # with the values of A, the first level, not with the edges; an upper
+        # bound, as newer Pythons inline comprehensions
         rng = random.Random(0)
         edges = set()
         while len(edges) < 500:
             edges.add(tuple(rng.sample(range(60), 2)))
-        atoms = [("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))]
-        rels = {}
-        for name, attrs in atoms:
-            rels[name] = AnnotatedRelation.empty(attrs)
-            rels[name].tuples = dict.fromkeys(edges, 1)
-        h = Hypergraph.build(atoms)
-        fold = ordering(("A", "sum"), ("B", "sum"), ("C", "sum"))
+        firsts = len({a for a, _ in edges})
         calls = []
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_filename == execution.__file__:
+            if event == "call" and frame.f_code.co_filename in (execution.__file__, semirings.__file__):
                 calls.append(frame.f_code.co_name)
 
-        sys.setprofile(profile)
-        try:
-            got = generic_join(h, rels, int_sr, None, fold)
-        finally:
-            sys.setprofile(None)
-        assert got == execution._fold_ordering(join(rels.values(), int_sr), fold, int_sr, None)
-        firsts = len({a for a, _ in edges})
-        assert len(calls) <= 6 * firsts + 40, collections.Counter(calls)
+        def check(atoms, tuples, sr, fold):
+            rels = {}
+            for name, attrs in atoms:
+                rels[name] = AnnotatedRelation.empty(attrs)
+                rels[name].tuples = tuples
+            calls.clear()
+            sys.setprofile(profile)
+            try:
+                got = generic_join(Hypergraph.build(atoms), rels, sr, None, fold)
+            finally:
+                sys.setprofile(None)
+            assert got == execution._fold_ordering(join(rels.values(), sr), fold, sr, None)
+            assert len(calls) <= 6 * firsts + 40, collections.Counter(calls)
+
+        check([("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))], dict.fromkeys(edges, 1),
+              int_sr, ordering(("A", "sum"), ("B", "sum"), ("C", "sum")))
+        # a closure round, Q(X,Y) = min[M] L(X,M), L(M,Y): no value's fold
+        # compares with the min-plus zero, whose comparisons are Python methods
+        lengths = {edge: rng.randint(1, 20) for edge in edges}
+        check([("L1", ("X", "M")), ("L2", ("M", "Y"))], lengths, get_semiring("minplus"),
+              ordering(("M", "min")))
 
     def test_distinct_counted_once_per_column(self, int_sr, monkeypatch):
         # a triangle over one tuple map orders its attributes by two scans,

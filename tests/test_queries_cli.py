@@ -188,6 +188,25 @@ class TestDataIO:
         with pytest.raises(QueryError):
             load_stats_json(path)
 
+    @pytest.mark.parametrize("value", [True, False, 1.5, "3", None, [3]])
+    def test_stats_json_refuses_what_is_not_an_integer(self, tmp_path, value):
+        # a bool is an int to Python, not a size
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"S": 2, "R": value}))
+        with pytest.raises(QueryError) as exc:
+            load_stats_json(path)
+        assert str(exc.value) == f"{path}: size for 'R' must be a positive integer"
+
+    @pytest.mark.parametrize("value", [True, None, 1.5, [2], {"x": 1}])
+    def test_domains_json_refuses_what_is_not_an_integer_or_a_string(self, tmp_path, fig1, value):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"C": "active", "B": [1, value]}))
+        with pytest.raises(QueryError) as exc:
+            load_domains_json(path, fig1)
+        assert str(exc.value) == (
+            f"{path}: domain for 'B' holds {value!r}, which is not an integer or a string"
+        )
+
 
 @pytest.fixture
 def worked_example_dir(tmp_path):
@@ -284,6 +303,19 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "equivalent: false" in captured
         assert "blocked-path" in captured
+
+    @pytest.mark.parametrize("query, beta, named", [
+        ("Q() = sum[A] R(A)\n", "max[A]", "operators-differ: 'A' is sum in the first ordering, max in the second"),
+        ("Q() = sum[A] sum[B] R(A,B)\n", "sum[A] sum[C]",
+         "attribute-sets-differ: only the first ordering aggregates 'B'; "
+         "only the second ordering aggregates 'C'"),
+        ("Q(B) = sum[A] R(A,B)\n", "sum[A] sum[B]",
+         "attribute-sets-differ: only the second ordering aggregates 'B'"),
+    ], ids=["operator", "both-sides", "one-side"])
+    def test_equiv_names_a_mismatch(self, tmp_path, capsys, query, beta, named):
+        (tmp_path / "q.aj").write_text(query)
+        assert main(["equiv", str(tmp_path / "q.aj"), "--ordering", beta]) == 0
+        assert capsys.readouterr().out == f"equivalent: false\nviolated: {named}\n"
 
     def test_closure_command(self, tmp_path, capsys):
         csv = tmp_path / "edges.csv"

@@ -1,10 +1,12 @@
+import math
 import operator
 import random
+from functools import reduce
 
 import pytest
 
 from ajar import INF, QueryError, builtin_semirings, check_laws, get_semiring
-from ajar.semirings import SemiringSpec, register_semiring
+from ajar.semirings import SemiringSpec, register_semiring, sample_values
 
 
 @pytest.mark.parametrize("name", ["int", "qplus", "minplus", "bool01"])
@@ -42,6 +44,34 @@ def test_minplus_runs_on_builtins():
     assert min(INF, 3) == 3 and min(3, INF) == 3
     assert min(INF, INF) is INF
     check_laws(sr, random.Random(5), triples=300)
+
+
+@pytest.mark.parametrize("name", ["int", "qplus", "minplus", "bool01"])
+def test_fold_is_reduce(name):
+    # sum/min/max stand in for reduce(op, values, zero) on every built-in
+    # semiring: same value and type, zero when empty; the pool holds zero,
+    # so some of min-plus's lists hold INF
+    sr = get_semiring(name)
+    rng = random.Random(7)
+    pool = sample_values(sr, rng, 40)
+    for op_name, op in sr.additive_ops.items():
+        fold = sr.fold(op_name)
+        assert fold(iter(())) == sr.zero
+        for size in list(range(6)) * 20:
+            values = rng.choices(pool, k=size)
+            want = reduce(op, values, sr.zero)
+            got = fold(iter(values))
+            assert got == want and type(got) is type(want), (op_name, values)
+
+
+def test_fold_falls_back_to_reduce():
+    # any other operator, built in or not, folds by reduce from zero
+    gcd = SemiringSpec(name="gcd-test-only", domain="integer", additive_ops={"gcd": math.gcd},
+                       multiply=math.lcm, zero=0, one=1, multiply_idempotent=True)
+    assert gcd.fold("gcd")(iter([12, 18, 8])) == 2
+    assert gcd.fold("gcd")(iter(())) == 0
+    with pytest.raises(QueryError):
+        gcd.fold("sum")
 
 
 def test_annotation_parsing():
