@@ -118,7 +118,10 @@ def generic_join(
     fixed ones) keep theirs through a visit, so their keys are intersected
     once per visit.  Each value's keys, products and fold are then ``map``s
     over the visit's values, with no Python function run per value, and in
-    the same factor order as on the last level itself.  With no weighted
+    the same factor order as on the last level itself.  Two weighted tries
+    alone on the last level (a matrix product) are instead one loop per value
+    over the smaller leaf's items that probes the other with ``get``; ⊗
+    commutes, so the smaller leaf's factor may come first.  With no weighted
     factor there, a value's fold is the ⊕ of n ones, n its number of keys,
     computed once per n in a call.  The last free level stores what the
     levels below it return with one ``dict.update`` that skips zeros.
@@ -212,6 +215,8 @@ def generic_join(
     fold_above = fold_last is not None and above >= 0
     varying = [i for i in active[bottom] if i in active[above]] if above >= 0 else []
     fixed = [i for i in active[bottom] if i not in varying]
+    # a matrix product's last level: two weighted tries and no factor from above
+    pair = len(deep) == len(active[bottom]) == 2 and not ended
     ones: dict = {}  # with no weighted factor on the last level: n -> ⊕ of n ones
 
     def hits(level: int, nodes: list):
@@ -241,13 +246,30 @@ def generic_join(
         ``products`` over all of a visit's values at once, as maps of maps,
         so no Python function runs per value.  The fixed tries' keys are
         intersected once per visit; each value's keys are a lazy stream,
-        copied by ``tee`` for each factor, so one value's set lives at once."""
+        copied by ``tee`` for each factor, so one value's set lives at once.
+        Two weighted leaves are instead joined by one loop per value over the
+        smaller one's items that probes the other with ``get``."""
         n = len(values)
         leaves = {}
         streams = []
         for i in varying:
             leaves[i] = list(map(nodes[i].__getitem__, values))
             streams.append(map(dict.keys, leaves[i]))
+        if pair:
+            i, j = deep
+            lefts = leaves[i] if i in leaves else repeat(nodes[i], n)
+            rights = leaves[j] if j in leaves else repeat(nodes[j], n)
+            lams = []
+            for left, right in zip(lefts, rights):
+                small, large = (left, right) if len(left) <= len(right) else (right, left)
+                get = large.get
+                prods = []
+                for k, x in small.items():
+                    y = get(k)
+                    if y is not None:
+                        prods.append(mul(x, y))
+                lams.append(fold_last(prods))
+            return lams
         if fixed:
             common = reduce(and_, sorted(map(dict.keys, map(nodes.__getitem__, fixed)), key=len))
             streams.append(repeat(common, n))

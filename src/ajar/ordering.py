@@ -37,9 +37,11 @@ class AggregationOrdering:
         return cls(tuple(items))
 
     def __post_init__(self):
-        attrs = [a for a, _ in self.items]
-        if len(set(attrs)) != len(attrs):
-            raise QueryError(f"attribute repeated in ordering {self.items}")
+        seen = set()
+        for attr, _ in self.items:
+            if attr in seen:
+                raise QueryError(f"attribute {attr!r} repeated in ordering")
+            seen.add(attr)
 
     def __len__(self):
         return len(self.items)

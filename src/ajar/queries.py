@@ -228,14 +228,17 @@ def parse_agg_list(text: str, reference: AggregationOrdering) -> AggregationOrde
     cursor = _Cursor(_tokenize(text))
     items: list[tuple[str, str]] = []
     while cursor.peek().kind == "name":
-        first = cursor.take("name").text
+        attr = first = cursor.take("name")
         if cursor.peek().text == "[":
             cursor.take("punct", "[")
-            attr = cursor.take("name").text
+            attr = cursor.take("name")
             cursor.take("punct", "]")
-            items.append((attr, first))
+            op = first.text
         else:
-            items.append((first, reference.operator(first)))
+            op = reference.operator(attr.text)
+        if any(a == attr.text for a, _ in items):
+            _fail(f"attribute {attr.text!r} aggregated twice", attr)
+        items.append((attr.text, op))
         if cursor.peek().text == ",":
             cursor.take("punct", ",")
     cursor.take("end")

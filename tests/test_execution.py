@@ -193,7 +193,8 @@ class TestGenericJoin:
     def test_multiplications_counted_on_a_weighted_self_join(self):
         # the reduce on the last level multiplies len(weighted) - 1 times per
         # joined tuple, two of its factors from tries that ended above it,
-        # and ExecStats counts every call
+        # and ExecStats counts every call; two atoms over one trie give the
+        # last level's probe one dict as both leaves, so each product is x ⊗ x
         calls = []
         base = get_semiring("int")
 
@@ -205,19 +206,24 @@ class TestGenericJoin:
         rng = random.Random(59)
         tuples = {(a, b): rng.choice([-2, -1, 2, 3]) for a in range(6) for b in range(6)
                   if rng.random() < 0.5}
-        atoms = [("E1", ("A", "B")), ("E2", ("B", "C")), ("E3", ("A", "C")), ("E4", ("A", "B"))]
-        h = Hypergraph.build(atoms)
-        rels = {}
-        for name, attrs in atoms:
-            rels[name] = AnnotatedRelation.empty(attrs)
-            rels[name].tuples = tuples
-        joined = join(rels.values(), base)
-        for fold in (ordering(("A", "sum"), ("B", "sum"), ("C", "sum")), ordering(("C", "sum"))):
-            calls.clear()
-            stats = ExecStats()
-            got = generic_join(h, rels, sr, stats, fold)
-            assert got == execution._fold_ordering(joined, fold, base, None)
-            assert stats.multiplications == len(calls) == 3 * len(joined)
+        cases = [
+            ([("E1", ("A", "B")), ("E2", ("B", "C")), ("E3", ("A", "C")), ("E4", ("A", "B"))],
+             [ordering(("A", "sum"), ("B", "sum"), ("C", "sum")), ordering(("C", "sum"))]),
+            ([("R", ("A", "B")), ("S", ("A", "B"))], [ordering(("B", "sum"))]),
+        ]
+        for atoms, folds in cases:
+            h = Hypergraph.build(atoms)
+            rels = {}
+            for name, attrs in atoms:
+                rels[name] = AnnotatedRelation.empty(attrs)
+                rels[name].tuples = tuples
+            joined = join(rels.values(), base)
+            for fold in folds:
+                calls.clear()
+                stats = ExecStats()
+                got = generic_join(h, rels, sr, stats, fold)
+                assert got == execution._fold_ordering(joined, fold, base, None)
+                assert stats.multiplications == len(calls) == (len(atoms) - 1) * len(joined)
 
     @pytest.mark.parametrize("data, atoms, fold", [
         # the last level (the last fold, or the last free attribute) with one,
@@ -348,6 +354,34 @@ class TestGenericJoin:
         lengths = {edge: rng.randint(1, 20) for edge in edges}
         check([("L1", ("X", "M")), ("L2", ("M", "Y"))], lengths, get_semiring("minplus"),
               ordering(("M", "min")))
+
+    def test_last_level_probe_iterates_the_smaller_leaf(self, int_sr):
+        # a skewed matrix product, Q() = sum[Y] sum[Z] S(Z), R(Y,Z): the fixed
+        # leaf of S holds 2,000 keys and each Y's leaf of R one to three, so
+        # the probes number the sum over Y of the smaller leaf's size, whichever
+        # atom comes first
+        rng = random.Random(61)
+        s = {(z,): rng.choice([2, 3]) for z in range(2000)}
+        r = {(y, z): rng.choice([-1, 2]) for y in range(300)
+             for z in rng.sample(range(2100), rng.randint(1, 3))}
+        work = sum(min(n, len(s)) for n in collections.Counter(y for y, _ in r).values())
+        probes = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and arg.__name__ == "get" and isinstance(arg.__self__, dict):
+                probes.append(1)
+
+        fold = ordering(("Y", "sum"), ("Z", "sum"))
+        for atoms in ([("S", ("Z",)), ("R", ("Y", "Z"))], [("R", ("Y", "Z")), ("S", ("Z",))]):
+            rels = {"S": AnnotatedRelation(("Z",), s), "R": AnnotatedRelation(("Y", "Z"), r)}
+            probes.clear()
+            sys.setprofile(profile)
+            try:
+                got = generic_join(Hypergraph.build(atoms), rels, int_sr, None, fold)
+            finally:
+                sys.setprofile(None)
+            assert got == execution._fold_ordering(join(rels.values(), int_sr), fold, int_sr, None)
+            assert 0 < len(probes) <= work, (atoms, len(probes), work)
 
     def test_distinct_counted_once_per_column(self, int_sr, monkeypatch):
         # a triangle over one tuple map orders its attributes by two scans,

@@ -8,6 +8,7 @@ from ajar import (
     ExtensionOverflow,
     Hypergraph,
     PRODUCT,
+    QueryError,
     compute_prec,
     get_semiring,
     linear_extensions,
@@ -39,6 +40,10 @@ class TestRestrict:
     def test_superset_is_identity(self):
         alpha = ordering(("A", "sum"), ("B", "max"))
         assert alpha.restrict({"A", "B", "Z"}) == alpha
+
+    def test_repeated_attribute_is_named(self):
+        with pytest.raises(QueryError, match=r"^attribute 'B' repeated in ordering$"):
+            ordering(("A", "sum"), ("B", "sum"), ("B", "max"))
 
 
 class TestEquivalence:

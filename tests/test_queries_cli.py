@@ -317,6 +317,17 @@ class TestCli:
         assert main(["equiv", str(tmp_path / "q.aj"), "--ordering", beta]) == 0
         assert capsys.readouterr().out == f"equivalent: false\nviolated: {named}\n"
 
+    @pytest.mark.parametrize("beta, column", [("B B", 3), ("sum[A] max[A]", 12)],
+                             ids=["list", "operators"])
+    def test_equiv_rejects_a_repeated_attribute(self, tmp_path, capsys, beta, column):
+        # refused as parse_query refuses it: by name, at the repeat's column
+        (tmp_path / "q.aj").write_text("Q() = sum[A] sum[B] R(A,B)\n")
+        assert main(["equiv", str(tmp_path / "q.aj"), "--ordering", beta]) == 1
+        captured = capsys.readouterr()
+        attr = beta[column - 1]
+        assert captured.err == f"error: attribute {attr!r} aggregated twice (line 1, column {column})\n"
+        assert not captured.out
+
     def test_closure_command(self, tmp_path, capsys):
         csv = tmp_path / "edges.csv"
         csv.write_text(
