@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
-from itertools import compress, repeat, tee
+from itertools import chain, compress, count, islice, repeat, tee
 from operator import and_, ne
 from typing import Container, Mapping, Optional
 
@@ -123,8 +123,11 @@ def generic_join(
     over the smaller leaf's items that probes the other with ``get``; ⊗
     commutes, so the smaller leaf's factor may come first.  With no weighted
     factor there, a value's fold is the ⊕ of n ones, n its number of keys,
-    computed once per n in a call.  The last free level stores what the
-    levels below it return with one ``dict.update`` that skips zeros.
+    computed once per n in a call; n is then the ``int.bit_count`` of an
+    ``&`` of ``int`` bitmasks, one per leaf over the last attribute's values,
+    if those masks take at most one 64-bit word per tuple (else the ``len``
+    of an ``&`` of key views).  The last free level stores what the levels
+    below it return with one ``dict.update`` that skips zeros.
     ``prod`` keeps a group only if its nonzero values cover the attribute's
     whole domain, as ``product_aggregate`` does.  An atom whose annotations
     are all one only filters: it never enters a multiplication.  Like a
@@ -218,6 +221,8 @@ def generic_join(
     # a matrix product's last level: two weighted tries and no factor from above
     pair = len(deep) == len(active[bottom]) == 2 and not ended
     ones: dict = {}  # with no weighted factor on the last level: n -> ⊕ of n ones
+    # with none, the last level's tries count with int bitmasks over its values
+    bits = fold_above and not deep and not ended and _mask_leaves(tries, rels, active[bottom])
 
     def hits(level: int, nodes: list):
         """The values every active trie holds at this level.  ``&`` of two
@@ -248,13 +253,15 @@ def generic_join(
         intersected once per visit; each value's keys are a lazy stream,
         copied by ``tee`` for each factor, so one value's set lives at once.
         Two weighted leaves are instead joined by one loop per value over the
-        smaller one's items that probes the other with ``get``."""
+        smaller one's items that probes the other with ``get``.  With no
+        weighted factor, a value's keys are only counted; bitmask leaves are
+        then ``&``-ed as ``int``s and counted by ``int.bit_count``."""
         n = len(values)
         leaves = {}
         streams = []
         for i in varying:
             leaves[i] = list(map(nodes[i].__getitem__, values))
-            streams.append(map(dict.keys, leaves[i]))
+            streams.append(leaves[i] if bits else map(dict.keys, leaves[i]))
         if pair:
             i, j = deep
             lefts = leaves[i] if i in leaves else repeat(nodes[i], n)
@@ -271,11 +278,12 @@ def generic_join(
                 lams.append(fold_last(prods))
             return lams
         if fixed:
-            common = reduce(and_, sorted(map(dict.keys, map(nodes.__getitem__, fixed)), key=len))
+            ends = map(nodes.__getitem__, fixed)
+            common = reduce(and_, ends if bits else sorted(map(dict.keys, ends), key=len))
             streams.append(repeat(common, n))
         keys = reduce(partial(map, and_), streams)
         if not deep and not ended:  # each value folds n ones, n its key count
-            counts = list(map(len, keys))
+            counts = list(map(int.bit_count if bits else len, keys))
             for k in set(counts).difference(ones):
                 ones[k] = fold_last(repeat(one, k))
             return list(map(ones.__getitem__, counts))
@@ -357,6 +365,43 @@ def generic_join(
     elif (lam := folded(0, tries)) != zero:
         store[()] = lam
     return out
+
+
+def _mask_leaves(tries: list, rels: list, last: list) -> bool:
+    """Point each trie in ``last`` (the tries of the last level) at a copy
+    whose leaves are ``int`` bitmasks over the last attribute's values, and
+    return True, if those masks take at most one 64-bit word per tuple.  A
+    copy, because atoms off the last level may share the trie.  Each leaf
+    sets its values' digits in a string of ``0``s, one byte per value, that
+    ``int`` reads in base 2, so a leaf costs O(values + its keys)."""
+    mirrored = {id(tries[i]): i for i in last}.values()  # one atom per distinct trie
+    levels = {}  # atom -> its trie's nodes, level by level
+    for i in mirrored:
+        levels[i] = [[tries[i]]]
+        for _ in rels[i].schema[1:]:
+            levels[i].append(list(chain.from_iterable(map(dict.values, levels[i][-1]))))
+    ends = [levels[i][-1] for i in mirrored]
+    values = set().union(*chain.from_iterable(ends))
+    if sum(map(len, ends)) * len(values) > 64 * sum(len(rels[i].tuples) for i in mirrored):
+        return False
+    digit = dict(zip(values, count()))
+    zeros = bytearray(b"0") * len(values)
+    mark = ord("1")
+    copies = {}
+    for i in mirrored:
+        built = []
+        for leaf in levels[i][-1]:
+            digits = zeros.copy()
+            for d in map(digit.__getitem__, leaf):
+                digits[d] = mark
+            built.append(int(digits, 2))
+        for nodes in reversed(levels[i][:-1]):
+            parts = iter(built)
+            built = [dict(zip(node, islice(parts, len(node)))) for node in nodes]
+        copies[id(tries[i])] = built[0]
+    for i in last:
+        tries[i] = copies[id(tries[i])]
+    return True
 
 
 def _semijoin_passes(g: Ghd, work: dict[int, AnnotatedRelation], stats) -> None:

@@ -234,8 +234,14 @@ def parse_agg_list(text: str, reference: AggregationOrdering) -> AggregationOrde
             attr = cursor.take("name")
             cursor.take("punct", "]")
             op = first.text
-        else:
+        elif attr.text in reference.attrs():
             op = reference.operator(attr.text)
+        else:
+            _fail(
+                f"attribute {attr.text!r} is not aggregated by the query; "
+                f"write its operator, as op[{attr.text}]",
+                attr,
+            )
         if any(a == attr.text for a, _ in items):
             _fail(f"attribute {attr.text!r} aggregated twice", attr)
         items.append((attr.text, op))

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -349,6 +350,9 @@ class TestGenericJoin:
 
         check([("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))], dict.fromkeys(edges, 1),
               int_sr, ordering(("A", "sum"), ("B", "sum"), ("C", "sum")))
+        # whether some triangle exists, over bool01: counted like the above
+        check([("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))], dict.fromkeys(edges, 1),
+              get_semiring("bool01"), ordering(("A", "max"), ("B", "max"), ("C", "max")))
         # a closure round, Q(X,Y) = min[M] L(X,M), L(M,Y): no value's fold
         # compares with the min-plus zero, whose comparisons are Python methods
         lengths = {edge: rng.randint(1, 20) for edge in edges}
@@ -382,6 +386,90 @@ class TestGenericJoin:
                 sys.setprofile(None)
             assert got == execution._fold_ordering(join(rels.values(), int_sr), fold, int_sr, None)
             assert 0 < len(probes) <= work, (atoms, len(probes), work)
+
+    @pytest.mark.parametrize("name, op", [("int", "sum"), ("bool01", "max")])
+    def test_count_path_agrees_with_the_oracle(self, name, op, monkeypatch):
+        # all-one inputs count their last level with int bitmasks when the
+        # masks take at most one word per tuple, and with key sets otherwise;
+        # atoms named by one letter share that letter's tuple map, so a trie
+        # whose second level is the last one for one atom is B for another
+        sr = get_semiring(name)
+        shapes = [
+            [("R", "E", ("A", "B")), ("S", "E", ("B", "C")), ("T", "E", ("A", "C"))],
+            [("R", "E", ("A", "B")), ("S", "E", ("B", "C")), ("U", "U", ("C",))],
+            # R and U are fixed on the last level, C; S, over R's map, holds B
+            [("R", "E", ("A", "C")), ("S", "E", ("A", "B")), ("U", "U", ("C",))],
+            # three tries on the last level, one of three levels
+            [("R", "E", ("A", "C")), ("S", "E", ("B", "C")), ("T", "T", ("A", "B", "C"))],
+            [("R", "E", ("A", "B")), ("S", "E", ("B", "C")), ("T", "E", ("C", "D")),
+             ("U", "E", ("A", "D"))],
+        ]
+        masked = []
+        original = execution._mask_leaves
+
+        def spy(*args):
+            masked.append(original(*args))
+            return masked[-1]
+
+        monkeypatch.setattr(execution, "_mask_leaves", spy)
+        rng = random.Random(83)
+        for trial in range(90):
+            atoms = shapes[trial % len(shapes)]
+            if trial % 3 == 2:  # sparse over a wide domain: more than a word per tuple
+                size = rng.randint(100, 200)
+                rows = lambda arity: {tuple(rng.randrange(size) for _ in range(arity))
+                                      for _ in range(size + size // 4)}
+            else:
+                size, density = rng.randint(3, 40 if len(atoms) == 3 else 12), rng.uniform(0.1, 0.8)
+                rows = lambda arity: {row for row in itertools.product(range(size), repeat=arity)
+                                      if rng.random() < density}
+            maps = {}
+            rels = {}
+            for rel, source, attrs in atoms:
+                if source not in maps:
+                    maps[source] = dict.fromkeys(rows(len(attrs)), sr.one)
+                rels[rel] = AnnotatedRelation.empty(attrs)
+                rels[rel].tuples = maps[source]
+            h = Hypergraph.build([(rel, attrs) for rel, _, attrs in atoms])
+            attrs = sorted(h.vertices)
+            head = rng.sample(attrs, rng.randint(0, 1))
+            alpha = AggregationOrdering(tuple((a, op) for a in rng.sample(attrs, len(attrs))
+                                              if a not in head))
+            want = naive_eval(h, alpha, rels, None, sr)
+            context = (name, trial, atoms, alpha.items)
+            assert generic_join(h, rels, sr, None, alpha) == want, context
+            assert run(plan(h, alpha), rels, None, sr) == want, context
+        assert True in masked and False in masked
+
+    def test_count_path_masks_take_at_most_a_word_per_tuple(self, int_sr):
+        # a star of 20,000 spokes has 20,001 leaves over 20,001 values: its
+        # masks would take about 50 MB, so the count keeps its key sets and
+        # peaks at a small multiple of the trie's own size
+        spokes = 20_000
+        star = dict.fromkeys([(0, i) for i in range(1, spokes + 1)]
+                             + [(i, 0) for i in range(1, spokes + 1)], 1)
+        rels = {}
+        for name, attrs in [("R", ("A", "B")), ("S", ("B", "C"))]:
+            rels[name] = AnnotatedRelation.empty(attrs)
+            rels[name].tuples = star
+        h = Hypergraph.build([("R", ("A", "B")), ("S", ("B", "C"))])
+        fold = ordering(("A", "sum"), ("B", "sum"), ("C", "sum"))
+        tracemalloc.start()
+        try:
+            trie: dict = {}
+            for a, b in star:
+                trie.setdefault(a, {})[b] = 1
+            size = tracemalloc.get_traced_memory()[0]
+            del trie
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            got = generic_join(h, rels, int_sr, None, fold)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # every path 0 -> i -> 0, and i -> 0 -> j
+        assert got == AnnotatedRelation((), {(): spokes + spokes * spokes})
+        assert peak <= 3 * size, (peak, size)
 
     def test_distinct_counted_once_per_column(self, int_sr, monkeypatch):
         # a triangle over one tuple map orders its attributes by two scans,

@@ -328,6 +328,18 @@ class TestCli:
         assert captured.err == f"error: attribute {attr!r} aggregated twice (line 1, column {column})\n"
         assert not captured.out
 
+    def test_equiv_names_a_listed_attribute_the_query_does_not_aggregate(self, tmp_path, capsys):
+        # a plain list copies each operator from the query, so an attribute
+        # the query does not aggregate needs its operator written out
+        (tmp_path / "q.aj").write_text("Q() = sum[A] sum[B] R(A,B)\n")
+        assert main(["equiv", str(tmp_path / "q.aj"), "--ordering", "A Z"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: attribute 'Z' is not aggregated by the query; "
+            "write its operator, as op[Z] (line 1, column 3)\n"
+        )
+        assert not captured.out
+
     def test_closure_command(self, tmp_path, capsys):
         csv = tmp_path / "edges.csv"
         csv.write_text(
