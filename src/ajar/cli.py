@@ -60,11 +60,7 @@ def _write_result(rel, semiring, out) -> None:
 def cmd_plan(args) -> int:
     query = _read_query(args.query)
     stats = load_stats_json(args.stats) if args.stats else None
-    sizes = edge_sizes(query, stats)
-    mode = "data" if args.mode == "data" else "unit"
-    if mode == "data" and sizes is None:
-        raise QueryError("--mode data needs --stats")
-    result = build_plan(query.hypergraph, query.ordering, sizes=sizes, mode=mode)
+    result = build_plan(query.hypergraph, query.ordering, sizes=edge_sizes(query, stats))
     payload = result.to_dict()
     text = json.dumps(payload, indent=2)
     if args.out:
@@ -188,7 +184,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("plan", help="plan a query and report its width")
     p.add_argument("query")
     p.add_argument("--stats", default=None)
-    p.add_argument("--mode", choices=("unit", "data"), default="unit")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_plan)
 
@@ -216,7 +211,10 @@ def main(argv=None) -> int:
     p.add_argument("--trials", type=int, default=1000)
     p.set_defaults(func=cmd_selftest)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or usage and error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except InternalError as exc:

@@ -32,10 +32,6 @@ def parse_value(text: str):
         return text
 
 
-def format_value(value) -> str:
-    return str(value)
-
-
 def load_relation_csv(path: str | Path, semiring: SemiringSpec) -> AnnotatedRelation:
     """Header row: attribute names then __annotation.
 
@@ -181,7 +177,7 @@ def write_relation_rows(rel: AnnotatedRelation, semiring: SemiringSpec, writer) 
     """The header, then the rows sorted as text, through a ``csv.writer``."""
     writer.writerow(list(rel.schema) + [ANNOTATION_COLUMN])
     body = [
-        [format_value(v) for v in row] + [semiring.format_annotation(lam)]
+        [*map(str, row), semiring.format_annotation(lam)]
         for row, lam in rel.tuples.items()
     ]
     body.sort()

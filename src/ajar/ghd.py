@@ -15,7 +15,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from .errors import InternalError, QueryError
 from .hypergraph import Edge, Hypergraph, connected_components
-from .lp import cover_bracket, fractional_cover_value, graph_cover_pricer
+from .lp import cover_bracket, exact_costs, fractional_cover_value, graph_cover_pricer
 from .ordering import AggregationOrdering, PrecedenceRelation, commute_block
 from .semirings import PRODUCT, log_cost
 
@@ -165,62 +165,53 @@ def is_valid(prec: PrecedenceRelation, g: Ghd) -> bool:
 
 @dataclass(frozen=True)
 class WidthReport:
-    mode: str  # "unit" or "data"
+    mode: str  # "unit" without sizes, "data" (float widths) with them
     per_bag: dict[int, Any]
-    width: Any
 
-    @classmethod
-    def collect(cls, mode: str, per_bag: dict[int, Any]) -> "WidthReport":
-        if per_bag:
-            overall = max(per_bag.values())
-        else:
-            overall = Fraction(0) if mode == "unit" else 0.0
-        return cls(mode=mode, per_bag=per_bag, width=overall)
+    @property
+    def width(self):
+        return max(self.per_bag.values(), default=Fraction(0) if self.mode == "unit" else 0.0)
 
 
 def cost_edges_for(
-    h: Hypergraph, sizes: Optional[dict[str, int]], mode: str
+    h: Hypergraph, sizes: Optional[dict[str, int]]
 ) -> list[tuple[frozenset[str], Any]]:
-    if mode == "unit":
-        return [(e.attrs, 1) for e in h.edges]
-    if mode != "data":
-        raise QueryError(f"unknown width mode {mode!r}")
+    """Each edge's attributes with its cost: the int 1 without sizes, else
+    the float log_IN of its relation's size, IN the sizes' total."""
     if sizes is None:
-        raise QueryError("data-aware mode needs relation sizes")
+        return [(e.attrs, 1) for e in h.edges]
+    for e in h.edges:
+        if e.name not in sizes:
+            raise QueryError(f"no size given for edge {e.name!r}")
     total = sum(sizes[e.name] for e in h.edges)
     return [(e.attrs, log_cost(sizes[e.name], total)) for e in h.edges]
 
 
-def width(
-    g: Ghd,
-    h: Hypergraph,
-    sizes: Optional[dict[str, int]] = None,
-    mode: str = "unit",
-) -> WidthReport:
+def width(g: Ghd, h: Hypergraph, sizes: Optional[dict[str, int]] = None) -> WidthReport:
     """Per-bag fractional cover optimum; overall width is the max.
 
-    An empty bag costs zero without an LP.  In unit mode a bag is priced as
-    ``optimal_ghd`` prices it, by the matching of ``graph_cover_pricer``
-    built once per call, and only a bag it returns None for (a wider meet,
-    or an attribute no edge holds) goes to the LP."""
-    cost_edges = cost_edges_for(h, sizes, mode)
-    if mode != "unit":
-        per_bag = {
-            t: fractional_cover_value(bag, cost_edges, False) if bag else 0.0
-            for t, bag in g.chi.items()
-        }
-        return WidthReport.collect(mode, per_bag)
-    attrs = g.attr_universe().union(*(e for e, _ in cost_edges))
-    bit = {a: 1 << i for i, a in enumerate(attrs)}
-    price = graph_cover_pricer([(sum(bit[a] for a in e), c) for e, c in cost_edges])
+    An empty bag costs zero without an LP, a float zero with sizes.  For
+    integer costs a bag is priced as ``optimal_ghd`` prices it, by the
+    matching of ``graph_cover_pricer`` built once per call, and only a bag
+    it returns None for (a wider meet, or an attribute no edge holds) goes
+    to the LP."""
+    mode = "unit" if sizes is None else "data"
+    cost_edges = cost_edges_for(h, sizes)
+    price = None
+    if exact_costs(c for _, c in cost_edges):
+        attrs = g.attr_universe().union(*(e for e, _ in cost_edges))
+        bit = {a: 1 << i for i, a in enumerate(attrs)}
+        price = graph_cover_pricer([(sum(bit[a] for a in e), c) for e, c in cost_edges])
     per_bag = {}
     for t, bag in g.chi.items():
-        doubled = price(sum(bit[a] for a in bag))
-        if doubled is None:
-            per_bag[t] = fractional_cover_value(bag, cost_edges, True)
-        else:
+        if not bag:
+            # a float with sizes, also when no edge is left to cost one
+            per_bag[t] = Fraction(0) if sizes is None else 0.0
+        elif price and (doubled := price(sum(bit[a] for a in bag))) is not None:
             per_bag[t] = Fraction(doubled, 2)
-    return WidthReport.collect(mode, per_bag)
+        else:
+            per_bag[t] = fractional_cover_value(bag, cost_edges)
+    return WidthReport(mode, per_bag)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +399,7 @@ GHD_VERTEX_CAP = 12
 
 
 def optimal_ghd(
-    h: Hypergraph,
-    mode: str = "unit",
-    cost_edges: Optional[list[tuple[frozenset[str], Any]]] = None,
+    h: Hypergraph, cost_edges: Optional[list[tuple[frozenset[str], Any]]] = None
 ) -> Ghd:
     """Minimum-width GHD among those induced by vertex elimination orders.
 
@@ -418,18 +407,17 @@ def optimal_ghd(
     vertex is eliminated depends only on the set eliminated before it, so
     this searches every elimination order.  Bag costs come from the
     fractional cover LP over cost_edges (by default h's own edges, at unit
-    cost; data mode needs them given, priced by ``cost_edges_for``).  At
-    each prefix set the last-eliminated vertex v is scanned in sorted order
-    and the first of least cost, max(width of the prefix without v, cost of
-    v's bag), wins.
+    cost; sizes price them through ``cost_edges_for``).  At each prefix set
+    the last-eliminated vertex v is scanned in sorted order and the first of
+    least cost, max(width of the prefix without v, cost of v's bag), wins.
 
-    Unit mode keeps every cost doubled and exact: a bag whose edges meet it
-    in at most two attributes costs the int 2|B| − M of the matching in
-    ``graph_cover_pricer`` (lo == hi), other bounds and LP values are doubled
-    Fractions, and ints compare with Fractions exactly, so doubling changes
-    no comparison.  A bag the matching does not price gets the bracket lo
-    <= cost <= hi of ``cover_bracket`` (a uniform packing below, a greedy
-    integral cover above), and v is
+    Integer costs (``exact_costs``) are kept doubled and exact: a bag whose
+    edges meet it in at most two attributes costs the int 2|B| − M of the
+    matching in ``graph_cover_pricer`` (lo == hi), other bounds and LP
+    values are doubled Fractions, and ints compare with Fractions exactly,
+    so doubling changes no comparison.  A bag the matching does not price
+    gets the bracket lo <= cost <= hi of ``cover_bracket`` (a uniform
+    packing below, a greedy integral cover above), and v is
       * skipped once the prefix without v, or lo, already reaches the
         incumbent: v's cost could at best tie it, and a tie goes to the
         earlier vertex, which the incumbent is;
@@ -439,9 +427,9 @@ def optimal_ghd(
         lo == hi the value is already known and no LP runs).
     Every cost these rules settle, and every comparison they skip, comes
     out as in the search that prices every bag by the LP, so the choice at
-    every prefix set, and the returned GHD, are that search's.  In data mode
-    the bracket is widened by a slack larger than float rounding, so a
-    rounded bound never settles a comparison the LP's own value would not.
+    every prefix set, and the returned GHD, are that search's.  Float costs
+    widen the bracket by a slack larger than float rounding, so a rounded
+    bound never settles a comparison the LP's own value would not.
     """
     verts = sorted(h.vertices)
     n = len(verts)
@@ -450,8 +438,8 @@ def optimal_ghd(
     if n == 0:
         return Ghd.single(())
     if cost_edges is None:
-        cost_edges = cost_edges_for(h, None, mode)
-    exact = mode == "unit"
+        cost_edges = cost_edges_for(h, None)
+    exact = exact_costs(c for _, c in cost_edges)
     bit = {v: 1 << i for i, v in enumerate(verts)}
     adj = [0] * n
     for e in h.edges:
@@ -475,7 +463,7 @@ def optimal_ghd(
         return reached & ~eliminated
 
     price = graph_cover_pricer(edge_masks) if exact else None
-    scale = 2 if exact else 1  # unit mode keeps every cost doubled
+    scale = 2 if exact else 1  # integer costs are kept doubled
     brackets: dict[int, tuple] = {}  # bag -> (lo, hi), scaled; lo == hi once exact
     best: dict[int, Any] = {0: 0}
     choice: dict[int, int] = {}
@@ -491,7 +479,7 @@ def optimal_ghd(
             if (bounds := brackets.get(bag)) is None:
                 value = price(bag) if exact else None
                 if value is None:
-                    lo, hi = cover_bracket(bag, edge_masks, exact)
+                    lo, hi = cover_bracket(bag, edge_masks)
                     bounds = (scale * lo, scale * hi)
                 else:
                     bounds = (value, value)
@@ -503,7 +491,7 @@ def optimal_ghd(
                 cost = below
             else:
                 if lo != hi:
-                    lo = scale * fractional_cover_value(attrs_of(bag), cost_edges, exact)
+                    lo = scale * fractional_cover_value(attrs_of(bag), cost_edges)
                     brackets[bag] = lo, lo
                 cost = max(below, lo)
             if best_cost is None or cost < best_cost:

@@ -2,36 +2,41 @@
 
 The cover LP (minimize Σ x_F·c_F with every bag attribute covered) is solved
 through its packing dual, which starts feasible from the all-slack basis.
-Unit-cost mode pivots fraction-free (Bareiss/Edmonds): the tableau stays in
-integers over one common denominator, every division is exact, and the
-optimum comes back as a Fraction, so widths compare bit-exactly.  Data-aware
-mode runs over floats with a fixed tolerance.  Both modes pivot by Bland's
-rule, which prevents cycling.  ``cover_bracket`` bounds the optimum from
-both sides without pivoting, and ``graph_cover_pricer`` gives it exactly,
-doubled to an int, for unit-cost edges meeting the bag in at most two
-attributes.
+The costs choose the arithmetic (``exact_costs``): integer costs pivot
+fraction-free (Bareiss/Edmonds), the tableau stays in integers over one
+common denominator, every division is exact, and the optimum comes back as
+a Fraction, so widths compare bit-exactly; any other cost makes the solve
+run over floats with a fixed tolerance.  Both pivot by Bland's rule, which
+prevents cycling.  ``cover_bracket`` bounds the optimum from both sides
+without pivoting, and ``graph_cover_pricer`` gives it exactly, doubled to
+an int, for unit-cost edges meeting the bag in at most two attributes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from operator import index
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalError
 
 MAX_PIVOTS = 10_000
 
 
-def maximize(
-    objective: Sequence, rows: Sequence[Sequence], rhs: Sequence, exact: bool
-):
+def exact_costs(costs: Iterable) -> bool:
+    """The one rule choosing the arithmetic: LPs whose costs are all ints are
+    solved exactly, to Fractions; any other cost makes them float solves."""
+    return all(isinstance(c, int) for c in costs)
+
+
+def maximize(objective: Sequence, rows: Sequence[Sequence], rhs: Sequence):
     """Maximize objective·y subject to rows·y <= rhs, y >= 0 (rhs >= 0).
 
-    Exact mode takes integer data and returns a Fraction; otherwise the
-    data may be any reals and the value is a float.
+    Over integer data the value is an exact Fraction; otherwise the data
+    may be any reals and the value is a float.
     """
-    if exact:
+    if exact_costs(chain(objective, rhs, *rows)):
         return _maximize_exact(objective, rows, rhs)
     n = len(objective)
     m = len(rows)
@@ -145,7 +150,7 @@ def _unimplied(rows: Sequence[tuple[frozenset[str], object]]) -> list:
     return [rows[k] for k in kept]
 
 
-def cover_bracket(bag: int, edges: Sequence[tuple[int, object]], exact: bool):
+def cover_bracket(bag: int, edges: Sequence[tuple[int, object]]):
     """(lo, hi) with lo <= fractional_cover_value(bag) <= hi, without the simplex.
 
     The bag and the edges' attribute sets are bitmasks over one numbering of
@@ -153,13 +158,14 @@ def cover_bracket(bag: int, edges: Sequence[tuple[int, object]], exact: bool):
     min_e c_e / |e ∩ bag|, which fills no edge's packing row past its cost, so
     it is dual-feasible.  hi is a greedy integral cover, each step taking the
     edge that covers the most uncovered attributes per unit of cost; being
-    primal-feasible, it costs at least the optimum.  Exact mode returns exact
-    numbers (lo == hi then settles the value); in data mode the bracket is
-    widened by a 1e-9 slack so that rounding here or in the float simplex
-    never puts the LP's value outside it.
+    primal-feasible, it costs at least the optimum.  Integer costs give exact
+    numbers (lo == hi then settles the value); float costs widen the bracket
+    by a 1e-9 slack so that rounding here or in the float simplex never puts
+    the LP's value outside it.
     """
+    is_exact = exact_costs(c for _, c in edges)
     if not bag:
-        return (Fraction(0), Fraction(0)) if exact else (0.0, 0.0)
+        return (Fraction(0), Fraction(0)) if is_exact else (0.0, 0.0)
     meets = [(e & bag, c) for e, c in edges if e & bag]
     hi, left = 0, bag
     while left:
@@ -179,9 +185,9 @@ def cover_bracket(bag: int, edges: Sequence[tuple[int, object]], exact: bool):
         if c * k_min < c_min * k:
             c_min, k_min = c, k
     size = bag.bit_count()
-    lo = Fraction(c_min * size, k_min) if exact else c_min * size / k_min
-    if exact:
-        return lo, hi
+    if is_exact:
+        return Fraction(c_min * size, k_min), hi
+    lo = c_min * size / k_min
     slack = 1e-9 * max(1.0, hi)
     return lo - slack, hi + slack
 
@@ -242,19 +248,18 @@ def _link(graph: dict[int, int], m: int) -> None:
 
 
 def fractional_cover_value(
-    bag: frozenset[str],
-    cost_edges: Sequence[tuple[frozenset[str], object]],
-    exact: bool,
+    bag: frozenset[str], cost_edges: Sequence[tuple[frozenset[str], object]]
 ):
-    """Optimal value of the fractional edge cover LP for one bag.
+    """Optimal value of the fractional edge cover LP for one bag: a Fraction
+    for integer costs, else a float.
 
-    cost_edges pairs each edge's attribute set with its cost (1 in unit mode,
-    log_IN of the relation size in data-aware mode).  An edge whose
+    cost_edges pairs each edge's attribute set with its cost (1 without
+    sizes, the float log_IN of the relation size with them).  An edge whose
     restriction to the bag lies inside another's at no smaller cost is
     dropped first: its packing row can never bind, so the optimum is the same.
     """
     if not bag:
-        return Fraction(0) if exact else 0.0
+        return Fraction(0) if exact_costs(c for _, c in cost_edges) else 0.0
     attrs = sorted(bag)
     useful = [(e & bag, c) for e, c in cost_edges if e & bag]
     covered = set().union(*(e for e, _ in useful)) if useful else set()
@@ -264,4 +269,4 @@ def fractional_cover_value(
     objective = [1] * len(attrs)
     rows = [[1 if a in e else 0 for a in attrs] for e, _ in useful]
     rhs = [c for _, c in useful]
-    return maximize(objective, rows, rhs, exact=exact)
+    return maximize(objective, rows, rhs)

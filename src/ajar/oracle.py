@@ -317,7 +317,6 @@ def min_valid_width(
     h: Hypergraph,
     alpha: AggregationOrdering,
     sizes: Optional[dict[str, int]] = None,
-    mode: str = "unit",
 ) -> object:
     """Minimum width over the exhaustive valid-GHD stream.
 
@@ -327,12 +326,12 @@ def min_valid_width(
     from .ghd import cost_edges_for
     from .lp import fractional_cover_value
 
-    cost = cost_edges_for(h, sizes, mode)
+    cost = cost_edges_for(h, sizes)
     cache: dict[frozenset, object] = {}
 
     def bag_cost(bag: frozenset):
         if bag not in cache:
-            cache[bag] = fractional_cover_value(bag, cost, exact=(mode == "unit"))
+            cache[bag] = fractional_cover_value(bag, cost)
         return cache[bag]
 
     best = None

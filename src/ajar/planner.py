@@ -163,11 +163,11 @@ def plan(
     h: Hypergraph,
     alpha: AggregationOrdering,
     sizes: Optional[dict[str, int]] = None,
-    mode: str = "unit",
 ) -> Plan:
     """Optimal GHD per characteristic hypergraph, stitched, its product
     attributes split into copies (``split_products``), contracted, with a
-    derived compatible ordering."""
+    derived compatible ordering.  Bags cost 1 per edge without sizes (unit
+    mode), log_IN of each edge's size with them (data mode)."""
     for attr in alpha.attrs():
         if attr not in h.vertices:
             raise QueryError(f"ordering attribute {attr!r} not in the query body")
@@ -178,16 +178,17 @@ def plan(
     tree = characteristic_tree(h, alpha)
     parts = tree.flatten()
     # bags are priced against the real relations, never interface edges
-    cost = cost_edges_for(h, sizes, mode)
-    part_ghds = [optimal_ghd(part.hypergraph, mode=mode, cost_edges=cost) for part in parts]
+    cost = cost_edges_for(h, sizes)
+    part_ghds = [optimal_ghd(part.hypergraph, cost) for part in parts]
     stitched = stitch_tree(tree, part_ghds)
     split, body, copies = split_products(h, alpha, stitched)
     # every split bag priced once; each kept bag carries its entry
-    split_report = width(split, body, sizes, mode)
+    split_report = width(split, body, sizes)
     part_widths = _regroup_part_widths(part_ghds, split_report)
     decomposition = _contract(split, bool(copies))
     by_bag = {split.chi[t]: w for t, w in split_report.per_bag.items()}
-    report = WidthReport.collect(mode, {t: by_bag[bag] for t, bag in decomposition.chi.items()})
+    own = {t: by_bag[bag] for t, bag in decomposition.chi.items()}
+    report = WidthReport(split_report.mode, own)
 
     beta = _compatible_ordering(decomposition, alpha, copies)
     if not test_equivalence(h, alpha, beta):
@@ -233,7 +234,7 @@ def _regroup_part_widths(part_ghds: list[Ghd], report: WidthReport) -> list[Any]
     for g in part_ghds:
         end = start + len(g.chi)
         own = {t: w for t, w in report.per_bag.items() if start <= t < end}
-        widths.append(WidthReport.collect(report.mode, own).width)
+        widths.append(WidthReport(report.mode, own).width)
         start = end
     return widths
 

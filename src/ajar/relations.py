@@ -61,9 +61,6 @@ class AnnotatedRelation:
             sorted(other.schema)
         ).tuples
 
-    def __hash__(self):
-        raise TypeError("AnnotatedRelation is not hashable")
-
     def __repr__(self):
         rows = ", ".join(f"{t}->{a}" for t, a in sorted(self.tuples.items(), key=repr))
         return f"AnnotatedRelation({','.join(self.schema)}: {rows})"

@@ -5,7 +5,6 @@ checks that it returns the very GHD this one builds."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any, Optional
 
 from ajar import Ghd, Hypergraph
@@ -16,7 +15,6 @@ from ajar.lp import fractional_cover_value
 def unpruned_optimal_ghd(
     h: Hypergraph,
     sizes: Optional[dict[str, int]] = None,
-    mode: str = "unit",
     cost_edges: Optional[list[tuple[frozenset[str], Any]]] = None,
 ) -> Ghd:
     """Minimum-width GHD over elimination orders; at each prefix set the
@@ -26,8 +24,7 @@ def unpruned_optimal_ghd(
     if n == 0:
         return Ghd.single(())
     if cost_edges is None:
-        cost_edges = cost_edges_for(h, sizes, mode)
-    exact = mode == "unit"
+        cost_edges = cost_edges_for(h, sizes)
     neighbours = {v: set() for v in verts}
     for e in h.edges:
         for a in e.attrs:
@@ -37,7 +34,7 @@ def unpruned_optimal_ghd(
 
     def bag_cost(bag: frozenset[str]):
         if bag not in costs:
-            costs[bag] = fractional_cover_value(bag, cost_edges, exact)
+            costs[bag] = fractional_cover_value(bag, cost_edges)
         return costs[bag]
 
     def bag_of(v: str, eliminated: frozenset[str]) -> frozenset[str]:
@@ -51,7 +48,7 @@ def unpruned_optimal_ghd(
                         stack.append(w)
         return frozenset(reached - eliminated)
 
-    best: dict[int, Any] = {0: Fraction(0) if exact else 0.0}
+    best: dict[int, Any] = {0: 0}
     choice: dict[int, int] = {}
     for mask in sorted(range(1, 1 << n), key=lambda m: bin(m).count("1")):
         members = frozenset(verts[i] for i in range(n) if mask >> i & 1)

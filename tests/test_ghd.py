@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -170,10 +171,16 @@ class TestWidth:
     def test_data_mode_uses_sizes(self, chain_h):
         unit = width(Ghd.single(("A", "B", "C")), chain_h).width
         data = width(
-            Ghd.single(("A", "B", "C")), chain_h, sizes={"R": 100, "S": 10}, mode="data"
+            Ghd.single(("A", "B", "C")), chain_h, sizes={"R": 100, "S": 10}
         ).width
         assert unit == 2
         assert 0 < data < 2
+
+    def test_sizes_alone_price_by_the_sizes(self, chain_h):
+        # log_110 100 + log_110 10 = 3 log 10 / log 110
+        report = width(Ghd.single(("A", "B", "C")), chain_h, {"R": 100, "S": 10})
+        assert report.mode == "data"
+        assert report.width == pytest.approx(3 * math.log(10) / math.log(110))
 
     @pytest.mark.parametrize("bag", [("A", "Z"), ("A", "B", "Z"), ("Z",)])
     @pytest.mark.parametrize("mode", ["unit", "data"])
@@ -181,7 +188,7 @@ class TestWidth:
         # the matching covers A and B but cannot price Z away
         sizes = {"R": 10, "S": 10} if mode == "data" else None
         with pytest.raises(InternalError):
-            width(Ghd.single(bag), chain_h, sizes=sizes, mode=mode)
+            width(Ghd.single(bag), chain_h, sizes=sizes)
 
     def test_unit_mode_prices_by_matching_and_agrees_with_the_lp(self, monkeypatch):
         # every bag's unit width equals its exact LP value; with edges of at
@@ -189,9 +196,9 @@ class TestWidth:
         solves = []
         real = ghd_module.fractional_cover_value
 
-        def spy(bag, cost_edges, exact):
+        def spy(bag, cost_edges):
             solves.append(bag)
-            return real(bag, cost_edges, exact)
+            return real(bag, cost_edges)
 
         monkeypatch.setattr(ghd_module, "fractional_cover_value", spy)
         rng = random.Random(21)
@@ -209,9 +216,9 @@ class TestWidth:
             bags = [frozenset(rng.sample(verts, rng.randint(0, len(verts)))) for _ in range(3)]
             solves.clear()
             report = width(chain(bags), h)
-            cost = cost_edges_for(h, None, "unit")
+            cost = cost_edges_for(h, None)
             for t, bag in enumerate(bags):
-                assert report.per_bag[t] == real(bag, cost, True), (edges, bag)
+                assert report.per_bag[t] == real(bag, cost), (edges, bag)
                 checked += 1
             if arity == 2:
                 assert solves == []
@@ -358,13 +365,13 @@ class TestOptimalGhd:
             edges += [(f"U{a}", (a,)) for a in attrs if all(a not in e for _, e in edges)]
             h = Hypergraph.build(edges)
             sizes = {name: rng.randint(1, 500) for name, _ in edges}
-            cost = cost_edges_for(h, sizes, mode)
-            exact = mode == "unit"
+            sizes = sizes if mode == "data" else None
+            cost = cost_edges_for(h, sizes)
             costs = {}
 
             def bag_cost(bag):
                 if bag not in costs:
-                    costs[bag] = fractional_cover_value(bag, cost, exact)
+                    costs[bag] = fractional_cover_value(bag, cost)
                 return costs[bag]
 
             best = None
@@ -383,9 +390,9 @@ class TestOptimalGhd:
                         neighbours[u].discard(v)
                     del neighbours[v]
                 best = worst if best is None else min(best, worst)
-            g = optimal_ghd(h, mode=mode, cost_edges=cost)
+            g = optimal_ghd(h, cost_edges=cost)
             assert is_ghd(h, g)
-            assert width(g, h, sizes, mode).width == best
+            assert width(g, h, sizes).width == best
 
 
 class TestOptimalGhdPlanIdentity:
@@ -412,9 +419,9 @@ class TestOptimalGhdPlanIdentity:
                     for name, e in edges
                 ]
             sizes = {name: rng.choice((1, 2, 10, rng.randint(1, 300))) for name, _ in edges}
-            cost = cost_edges_for(Hypergraph.build(wider), sizes, mode)
-            got = optimal_ghd(h, mode=mode, cost_edges=cost)
-            want = unpruned_optimal_ghd(h, mode=mode, cost_edges=cost)
+            cost = cost_edges_for(Hypergraph.build(wider), sizes if mode == "data" else None)
+            got = optimal_ghd(h, cost_edges=cost)
+            want = unpruned_optimal_ghd(h, cost_edges=cost)
             assert (got.root, got.parent, got.chi) == (want.root, want.parent, want.chi), (
                 mode,
                 case,

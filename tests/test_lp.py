@@ -20,47 +20,58 @@ def edges(*pairs):
 class TestUnitMode:
     def test_triangle_bag_is_three_halves(self):
         cost = edges((("A", "B"), 1), (("B", "C"), 1), (("C", "A"), 1))
-        value = fractional_cover_value(bag("A", "B", "C"), cost, exact=True)
+        value = fractional_cover_value(bag("A", "B", "C"), cost)
         assert value == Fraction(3, 2)
         assert isinstance(value, Fraction)
 
     def test_single_edge_covers_bag(self):
         cost = edges((("A", "B"), 1))
-        assert fractional_cover_value(bag("A", "B"), cost, exact=True) == 1
+        assert fractional_cover_value(bag("A", "B"), cost) == 1
 
     def test_two_disjoint_attrs_cost_two(self):
         cost = edges((("A", "B"), 1), (("C", "D"), 1))
-        assert fractional_cover_value(bag("A", "C"), cost, exact=True) == 2
+        assert fractional_cover_value(bag("A", "C"), cost) == 2
 
     def test_empty_bag_costs_nothing(self):
-        assert fractional_cover_value(bag(), [], exact=True) == 0
+        assert fractional_cover_value(bag(), []) == 0
 
     def test_uncovered_attribute_is_internal_error(self):
         cost = edges((("A",), 1))
         with pytest.raises(InternalError):
-            fractional_cover_value(bag("A", "Z"), cost, exact=True)
+            fractional_cover_value(bag("A", "Z"), cost)
 
     def test_four_cycle_bag(self):
         # cover {A,B,C} on the 4-cycle: opposite edges give exactly 2
         cost = edges((("A", "B"), 1), (("B", "C"), 1), (("C", "D"), 1), (("D", "A"), 1))
-        assert fractional_cover_value(bag("A", "B", "C"), cost, exact=True) == 2
+        assert fractional_cover_value(bag("A", "B", "C"), cost) == 2
+
+
+def test_the_costs_choose_the_arithmetic():
+    # all-int costs solve exactly; one float cost makes the solve a float one
+    abc = bag("A", "B", "C")
+    unit = edges((("A", "B"), 1), (("B", "C"), 1), (("C", "A"), 1))
+    mixed = unit[:2] + edges((("C", "A"), 1.0))
+    assert type(fractional_cover_value(abc, unit)) is Fraction
+    value = fractional_cover_value(abc, mixed)
+    assert type(value) is float and value == pytest.approx(1.5)
+    assert type(fractional_cover_value(bag(), mixed)) is float
 
 
 class TestDataMode:
     def test_log_costs_scale_width(self):
         # one big relation, one tiny: covering via the tiny one is cheaper
         cost = [(frozenset(("A", "B")), 1.0), (frozenset(("A", "B")), 0.25)]
-        value = fractional_cover_value(bag("A", "B"), cost, exact=False)
+        value = fractional_cover_value(bag("A", "B"), cost)
         assert value == pytest.approx(0.25)
 
     def test_triangle_float(self):
         cost = [(frozenset(p), 1.0) for p in (("A", "B"), ("B", "C"), ("C", "A"))]
-        value = fractional_cover_value(bag("A", "B", "C"), cost, exact=False)
+        value = fractional_cover_value(bag("A", "B", "C"), cost)
         assert value == pytest.approx(1.5, abs=1e-9)
 
     def test_zero_cost_edge_is_free(self):
         cost = [(frozenset(("A", "B")), 0.0), (frozenset(("B", "C")), 1.0)]
-        value = fractional_cover_value(bag("A", "B", "C"), cost, exact=False)
+        value = fractional_cover_value(bag("A", "B", "C"), cost)
         assert value == pytest.approx(1.0)
 
 
@@ -69,7 +80,7 @@ def test_matches_brute_force_grid_search():
     # and LP feasibility from below via weak duality on sampled duals
     cost = edges((("A", "B"), 1), (("B", "C"), 1), (("A", "C"), 1), (("A",), 1))
     target = bag("A", "B", "C")
-    value = fractional_cover_value(target, cost, exact=True)
+    value = fractional_cover_value(target, cost)
     steps = [Fraction(k, 4) for k in range(0, 9)]
     best = None
     for x1 in steps:
@@ -142,10 +153,10 @@ def test_random_cover_lps_match_vertex_enumeration():
         ]
         covered = set().union(*(e for e, _ in cost))
         target = frozenset(rng.sample(sorted(covered), rng.randint(1, len(covered))))
-        exact = fractional_cover_value(target, cost, exact=True)
+        exact = fractional_cover_value(target, cost)
         assert isinstance(exact, Fraction)
         assert exact == _cover_by_vertex_enumeration(target, cost)
-        approx = fractional_cover_value(target, [(e, float(c)) for e, c in cost], exact=False)
+        approx = fractional_cover_value(target, [(e, float(c)) for e, c in cost])
         assert abs(approx - exact) <= 1e-9
 
 
@@ -166,12 +177,12 @@ def test_cover_bracket_holds_the_lp_value():
         bit = {a: 1 << i for i, a in enumerate(names)}
         masks = [(sum(bit[a] for a in e), c) for e, c in cost]
         target_mask = sum(bit[a] for a in target)
-        value = fractional_cover_value(target, cost, exact=True)
-        exact_lo, hi = cover_bracket(target_mask, masks, exact=True)
+        value = fractional_cover_value(target, cost)
+        exact_lo, hi = cover_bracket(target_mask, masks)
         assert isinstance(exact_lo, Fraction) and isinstance(hi, int), (cost, target)
         assert exact_lo <= value <= hi, (cost, target, exact_lo, value, hi)
-        approx = fractional_cover_value(target, [(e, c / 7) for e, c in cost], exact=False)
-        lo, hi = cover_bracket(target_mask, [(m, c / 7) for m, c in masks], exact=False)
+        approx = fractional_cover_value(target, [(e, c / 7) for e, c in cost])
+        lo, hi = cover_bracket(target_mask, [(m, c / 7) for m, c in masks])
         assert lo < approx < hi, (cost, target, lo, approx, hi)
         assert 0 < exact_lo / 7 - lo <= 1e-8, (cost, target)
 
@@ -180,23 +191,23 @@ def test_cover_bracket_is_tight_on_single_edges_and_the_triangle():
     # a bag inside one edge costs that edge; the triangle's packing is 3/2
     # but a greedy integral cover takes two edges
     ab, bc, ca = 0b011, 0b110, 0b101
-    assert cover_bracket(ab, [(ab, 1), (bc, 1)], exact=True) == (1, 1)
-    assert cover_bracket(0b111, [(ab, 1), (bc, 1), (ca, 1)], exact=True) == (Fraction(3, 2), 2)
+    assert cover_bracket(ab, [(ab, 1), (bc, 1)]) == (1, 1)
+    assert cover_bracket(0b111, [(ab, 1), (bc, 1), (ca, 1)]) == (Fraction(3, 2), 2)
 
 
 def test_cover_bracket_of_an_empty_bag_is_zero():
     # as fractional_cover_value prices an empty bag, with no edge to read
-    assert cover_bracket(0, [(0b01, 1)], exact=True) == (0, 0)
-    assert cover_bracket(0, [], exact=True) == (0, 0)
-    lo, hi = cover_bracket(0, [(0b01, 0.5)], exact=False)
+    assert cover_bracket(0, [(0b01, 1)]) == (0, 0)
+    assert cover_bracket(0, []) == (0, 0)
+    lo, hi = cover_bracket(0, [(0b01, 0.5)])
     assert (lo, hi) == (0.0, 0.0) and isinstance(lo, float)
 
 
 def test_cover_bracket_uncovered_attribute_is_internal_error():
     with pytest.raises(InternalError):
-        cover_bracket(0b11, [(0b01, 1)], exact=True)
+        cover_bracket(0b11, [(0b01, 1)])
     with pytest.raises(InternalError):
-        cover_bracket(0b10, [(0b01, 1)], exact=False)
+        cover_bracket(0b10, [(0b01, 1.0)])
 
 
 def test_unimplied_keeps_the_rows_no_other_row_implies():
@@ -252,7 +263,7 @@ class TestGraphCoverValue:
         got = graph_cover_pricer(masks)(whole)
         assert got == 2 * value and type(got) is int
         whole_bag = bag(*"ABCDE"[: whole.bit_length()])
-        assert got == 2 * fractional_cover_value(whole_bag, edges(*pairs), exact=True)
+        assert got == 2 * fractional_cover_value(whole_bag, edges(*pairs))
 
     def test_an_odd_cycle_is_not_priced_by_an_integral_matching(self):
         # a triangle plus D, covered by a singleton: the graph matches one
@@ -274,14 +285,14 @@ class TestGraphCoverValue:
         # D lies only in CD, whose C is outside the bag {A,B,D}: AB plus CD
         pairs = (("AB", 1), ("BC", 1), ("CD", 1))
         assert _doubled_cover(0b1011, pairs) == 4
-        assert fractional_cover_value(bag("A", "B", "D"), edges(*pairs), exact=True) == 2
+        assert fractional_cover_value(bag("A", "B", "D"), edges(*pairs)) == 2
         assert _doubled_cover(0b0101, pairs) == 4
 
     def test_a_ternary_edge_meeting_the_bag_in_two_adds_that_pair(self):
         # without the pair AB, {A,B,C} would be the path A–C–B, at 2·2
         pairs = (("ABD", 1), ("BC", 1), ("CA", 1))
         assert _doubled_cover(0b0111, pairs) == 3
-        assert fractional_cover_value(bag("A", "B", "C"), edges(*pairs), exact=True) == Fraction(3, 2)
+        assert fractional_cover_value(bag("A", "B", "C"), edges(*pairs)) == Fraction(3, 2)
 
     def test_a_ternary_edge_meeting_the_bag_in_three_gives_none(self):
         assert _doubled_cover(0b0111, (("ABCD", 1), ("AB", 1), ("CD", 1))) is None
@@ -329,7 +340,7 @@ class TestGraphCoverValue:
             masks = [(sum(bit[a] for a in e), c) for e, c in cost]
             target_mask = sum(bit[a] for a in target)
             got = graph_cover_pricer(masks)(target_mask)
-            want = fractional_cover_value(frozenset(target), cost, exact=True)
+            want = fractional_cover_value(frozenset(target), cost)
             assert got == 2 * want and type(got) is int, (cost, target)
             meet = rng.sample(target, min(3, len(target)))
             off = (sum(bit[a] for a in meet), 1 if len(meet) == 3 else 2)

@@ -135,9 +135,9 @@ class TestExhaustiveValidGhds:
         for trial in range(60):
             h, alpha = random_query(rng)
             sizes = {e.name: rng.randint(1, 1000) for e in h.edges} if mode == "data" else None
-            p = plan(h, alpha, sizes=sizes, mode=mode)
+            p = plan(h, alpha, sizes=sizes)
             where = (trial, alpha.items, h.edges, sizes)
-            assert p.width == min_valid_width(h, alpha, sizes, mode), where
+            assert p.width == min_valid_width(h, alpha, sizes), where
             assert p.width == max(p.part_widths), where
 
 

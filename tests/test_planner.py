@@ -143,9 +143,32 @@ class TestPlan:
         assert is_equivalent(chain_h, p.alpha, p.beta)
 
     def test_data_mode_prefers_small_relations(self, chain_h):
-        p = plan(chain_h, ordering(), sizes={"R": 4, "S": 4096}, mode="data")
+        p = plan(chain_h, ordering(), sizes={"R": 4, "S": 4096})
         assert p.width_report.mode == "data"
         assert p.width <= 2.0
+
+    def test_sizes_alone_price_by_the_sizes(self, chain_h):
+        # bags {A,B} and {B,C}, the wider priced at log_4100 4096, below 1
+        p = plan(chain_h, ordering(), sizes={"R": 4, "S": 4096})
+        assert p.width_report.mode == "data"
+        assert p.to_dict()["mode"] == "data"
+        assert p.width == pytest.approx(math.log(4096) / math.log(4100))
+
+    def test_a_fully_collapsed_product_query_keeps_its_number_type(self, chain_h):
+        # the pre-pass aggregates every edge away, so no cost is left to
+        # choose the arithmetic: sizes still give float widths
+        alpha = ordering(("A", PRODUCT), ("B", PRODUCT), ("C", PRODUCT))
+        unit = plan(chain_h, alpha)
+        data = plan(chain_h, alpha, sizes={"R": 10, "S": 10}).to_dict()
+        assert not unit.hypergraph.edges
+        assert type(unit.width) is Fraction
+        assert data["mode"] == "data"
+        widths = [data["width"], *data["part_widths"], *(n["width"] for n in data["nodes"])]
+        assert [type(w) for w in widths] == [float] * len(widths)
+
+    def test_a_missing_size_names_its_edge(self, chain_h):
+        with pytest.raises(QueryError, match="'S'"):
+            plan(chain_h, ordering(), sizes={"R": 10})
 
     @pytest.mark.parametrize("mode", ["unit", "data"])
     def test_part_widths_are_each_parts_own_width(self, mode):
@@ -166,13 +189,13 @@ class TestPlan:
                       for a in rng.sample(verts, rng.randint(0, len(verts))))
             )
             sizes = {e.name: rng.randint(1, 1000) for e in h.edges} if mode == "data" else None
-            p = plan(h, alpha, sizes=sizes, mode=mode)
-            cost = cost_edges_for(h, sizes, mode)
+            p = plan(h, alpha, sizes=sizes)
+            cost = cost_edges_for(h, sizes)
             assert len(p.part_widths) == len(p.part_hypergraphs)
             for part_h, got in zip(p.part_hypergraphs, p.part_widths):
-                g = optimal_ghd(part_h, mode=mode, cost_edges=cost)
+                g = optimal_ghd(part_h, cost_edges=cost)
                 want = max(
-                    fractional_cover_value(bag, cost, exact=(mode == "unit"))
+                    fractional_cover_value(bag, cost)
                     for bag in g.chi.values()
                 )
                 assert got == want, (trial, alpha.items, edges)
@@ -247,7 +270,7 @@ class TestPlan:
         monkeypatch.setattr(ghd, "graph_cover_pricer", refuse)
         h = Hypergraph.build([(f"R{i}", (f"A{i}", f"A{(i + 1) % 5}")) for i in range(5)])
         for cost in (1.0, 0.5):
-            g = optimal_ghd(h, mode="data", cost_edges=[(e.attrs, cost) for e in h.edges])
+            g = optimal_ghd(h, cost_edges=[(e.attrs, cost) for e in h.edges])
             assert is_ghd(h, g)
 
 

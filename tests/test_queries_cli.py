@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -277,9 +278,52 @@ class TestCli:
         assert json.loads(text)["width"] == pytest.approx(4 / 3)
         stats = tmp_path / "s.json"
         stats.write_text(json.dumps({"R": 8, "S": 8, "T": 8, "U": 8}))
-        assert main(["plan", str(query), "--mode", "data", "--stats", str(stats)]) == 0
+        assert main(["plan", str(query), "--stats", str(stats)]) == 0
         width_line, _, text = capsys.readouterr().out.split("\n", 2)
         assert width_line == f"width: {json.loads(text)['width']}"
+
+    def test_plan_stats_alone_price_by_the_sizes(self, tmp_path, capsys):
+        # --stats selects data mode: K4's cover 4/3 priced at log_32 8 = 3/5
+        query = tmp_path / "k4.aj"
+        query.write_text(
+            "Q() = sum[A] sum[B] sum[C] sum[D] R(A,B,C), S(B,C,D), T(A,C,D), U(A,B,D)\n"
+        )
+        stats = tmp_path / "s.json"
+        stats.write_text(json.dumps({"R": 8, "S": 8, "T": 8, "U": 8}))
+        out = tmp_path / "plan.json"
+        assert main(["plan", str(query), "--stats", str(stats), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["mode"] == "data"
+        assert payload["width"] == pytest.approx(0.8)
+        assert capsys.readouterr().out.startswith(f"width: {payload['width']}\n")
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "q.aj"], ["selftest", "--trials", "abc"], ["plan"], ["nosuch"]]
+    )
+    def test_usage_error_exit_code(self, argv, capsys):
+        # argparse prints its usage and message; main returns 1, not SystemExit
+        assert main(argv) == 1
+        assert "usage: ajar" in capsys.readouterr().err
+
+    def test_help_exit_code(self, capsys):
+        assert main(["plan", "--help"]) == 0
+        assert "usage: ajar plan" in capsys.readouterr().out
+
+    def test_readme_synopsis_lists_every_option(self, capsys):
+        # each subcommand's options, as its --help prints them, are exactly
+        # those of its line in README's CLI synopsis
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        synopsis = {}
+        for line in readme.split("## CLI", 1)[1].splitlines():
+            if match := re.match(r"ajar (\w+)\b(.*)", line):
+                synopsis[match[1]] = set(re.findall(r"--[a-z][a-z-]*", match[2]))
+        assert main(["--help"]) == 0
+        commands = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out)[1].split(",")
+        assert sorted(synopsis) == sorted(commands)
+        for command in commands:
+            assert main([command, "--help"]) == 0
+            options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+            assert synopsis[command] == options, command
 
     def test_plan_parity_cycle_width_two(self, tmp_path, capsys):
         body = ", ".join(f"E{i}(A{i},A{i % 6 + 1})" for i in range(1, 7))
@@ -634,8 +678,6 @@ class TestCli:
                 str(worked_example_dir / "q.aj"),
                 "--stats",
                 str(stats),
-                "--mode",
-                "data",
                 "--out",
                 str(out),
             ]

@@ -1,3 +1,4 @@
+import collections.abc
 import random
 
 import pytest
@@ -52,6 +53,13 @@ class TestCanonicalForm:
         assert left == right
         assert left != AnnotatedRelation(("A", "B"), {(2, 1): 5})
 
+
+    def test_not_hashable(self):
+        # mutable tuple map: no hash, and not registered as Hashable either
+        rel = AnnotatedRelation(("A",), {(1,): 2})
+        with pytest.raises(TypeError):
+            hash(rel)
+        assert not isinstance(rel, collections.abc.Hashable)
 
 class TestJoin:
     def test_worked_integer_instance(self, fig1, int_sr):
