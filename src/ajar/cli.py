@@ -65,7 +65,8 @@ def cmd_plan(args) -> int:
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
-    print(f"width: {result.width}")
+    shown = float(result.width) if result.width_report.mode == "data" else result.width
+    print(f"width: {shown}")
     print(f"parts: {len(result.part_hypergraphs)}")
     if not args.out:
         print(text)

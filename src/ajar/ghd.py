@@ -9,15 +9,16 @@ decomposable GHD whose width is exactly the maximum over the parts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import InternalError, QueryError
 from .hypergraph import Edge, Hypergraph, connected_components
-from .lp import cover_bracket, exact_costs, fractional_cover_value, graph_cover_pricer
+from .lp import cover_bracket, fractional_cover_value, graph_cover_pricer, integer_costs
 from .ordering import AggregationOrdering, PrecedenceRelation, commute_block
-from .semirings import PRODUCT, log_cost
+from .semirings import PRODUCT
 
 
 @dataclass
@@ -165,53 +166,56 @@ def is_valid(prec: PrecedenceRelation, g: Ghd) -> bool:
 
 @dataclass(frozen=True)
 class WidthReport:
-    mode: str  # "unit" without sizes, "data" (float widths) with them
-    per_bag: dict[int, Any]
+    """Exact per-bag widths, Fractions in both modes; ``mode`` only tells
+    the printed outputs to show a data-mode width as a float."""
+
+    mode: str  # "unit" without sizes, "data" with them
+    per_bag: dict[int, Fraction]
 
     @property
-    def width(self):
-        return max(self.per_bag.values(), default=Fraction(0) if self.mode == "unit" else 0.0)
+    def width(self) -> Fraction:
+        return max(self.per_bag.values(), default=Fraction(0))
 
 
 def cost_edges_for(
     h: Hypergraph, sizes: Optional[dict[str, int]]
 ) -> list[tuple[frozenset[str], Any]]:
     """Each edge's attributes with its cost: the int 1 without sizes, else
-    the float log_IN of its relation's size, IN the sizes' total."""
+    the Fraction log_IN of its relation's size (the float's exact value),
+    IN the sizes' total."""
     if sizes is None:
         return [(e.attrs, 1) for e in h.edges]
     for e in h.edges:
         if e.name not in sizes:
             raise QueryError(f"no size given for edge {e.name!r}")
-    total = sum(sizes[e.name] for e in h.edges)
-    return [(e.attrs, log_cost(sizes[e.name], total)) for e in h.edges]
+        size = sizes[e.name]
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            raise QueryError(f"size of edge {e.name!r} must be a positive int, got {size!r}")
+    log_in = math.log(max(sum(sizes[e.name] for e in h.edges), 2))
+    return [(e.attrs, Fraction(math.log(sizes[e.name]) / log_in)) for e in h.edges]
 
 
 def width(g: Ghd, h: Hypergraph, sizes: Optional[dict[str, int]] = None) -> WidthReport:
     """Per-bag fractional cover optimum; overall width is the max.
 
-    An empty bag costs zero without an LP, a float zero with sizes.  For
-    integer costs a bag is priced as ``optimal_ghd`` prices it, by the
-    matching of ``graph_cover_pricer`` built once per call, and only a bag
-    it returns None for (a wider meet, or an attribute no edge holds) goes
-    to the LP."""
-    mode = "unit" if sizes is None else "data"
+    A bag is priced as ``optimal_ghd`` prices it, by the matching of
+    ``graph_cover_pricer`` over the costs scaled to ints, built once per
+    call (an empty bag costs its zero), and only a bag it returns None for
+    (a wider meet, a scaled cost other than 1, or an attribute no edge
+    holds) goes to the LP."""
     cost_edges = cost_edges_for(h, sizes)
-    price = None
-    if exact_costs(c for _, c in cost_edges):
-        attrs = g.attr_universe().union(*(e for e, _ in cost_edges))
-        bit = {a: 1 << i for i, a in enumerate(attrs)}
-        price = graph_cover_pricer([(sum(bit[a] for a in e), c) for e, c in cost_edges])
+    costs, den = integer_costs(c for _, c in cost_edges)
+    attrs = g.attr_universe().union(*(e for e, _ in cost_edges))
+    bit = {a: 1 << i for i, a in enumerate(attrs)}
+    masks = [sum(bit[a] for a in e) for e, _ in cost_edges]
+    price = graph_cover_pricer(list(zip(masks, costs)))
     per_bag = {}
     for t, bag in g.chi.items():
-        if not bag:
-            # a float with sizes, also when no edge is left to cost one
-            per_bag[t] = Fraction(0) if sizes is None else 0.0
-        elif price and (doubled := price(sum(bit[a] for a in bag))) is not None:
-            per_bag[t] = Fraction(doubled, 2)
+        if (doubled := price(sum(bit[a] for a in bag))) is not None:
+            per_bag[t] = Fraction(doubled, 2 * den)
         else:
             per_bag[t] = fractional_cover_value(bag, cost_edges)
-    return WidthReport(mode, per_bag)
+    return WidthReport("unit" if sizes is None else "data", per_bag)
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +415,15 @@ def optimal_ghd(
     the last-eliminated vertex v is scanned in sorted order and the first of
     least cost, max(width of the prefix without v, cost of v's bag), wins.
 
-    Integer costs (``exact_costs``) are kept doubled and exact: a bag whose
-    edges meet it in at most two attributes costs the int 2|B| − M of the
-    matching in ``graph_cover_pricer`` (lo == hi), other bounds and LP
-    values are doubled Fractions, and ints compare with Fractions exactly,
-    so doubling changes no comparison.  A bag the matching does not price
-    gets the bracket lo <= cost <= hi of ``cover_bracket`` (a uniform
-    packing below, a greedy integral cover above), and v is
+    The costs are scaled to ints once (``integer_costs``) and every bag cost
+    is kept doubled: a bag whose edges cost 1 after the scaling (every edge
+    in unit mode) and meet it in at most two attributes costs the int
+    2|B| − M of the matching in ``graph_cover_pricer`` (lo == hi), other
+    bounds and LP values are doubled Fractions, and ints compare with
+    Fractions exactly, so scaling and doubling change no comparison.  A bag
+    the matching does not price gets the bracket lo <= cost <= hi of
+    ``cover_bracket`` (a uniform packing below, a greedy integral cover
+    above), and v is
       * skipped once the prefix without v, or lo, already reaches the
         incumbent: v's cost could at best tie it, and a tie goes to the
         earlier vertex, which the incumbent is;
@@ -427,9 +433,7 @@ def optimal_ghd(
         lo == hi the value is already known and no LP runs).
     Every cost these rules settle, and every comparison they skip, comes
     out as in the search that prices every bag by the LP, so the choice at
-    every prefix set, and the returned GHD, are that search's.  Float costs
-    widen the bracket by a slack larger than float rounding, so a rounded
-    bound never settles a comparison the LP's own value would not.
+    every prefix set, and the returned GHD, are that search's.
     """
     verts = sorted(h.vertices)
     n = len(verts)
@@ -439,7 +443,8 @@ def optimal_ghd(
         return Ghd.single(())
     if cost_edges is None:
         cost_edges = cost_edges_for(h, None)
-    exact = exact_costs(c for _, c in cost_edges)
+    costs, _ = integer_costs(c for _, c in cost_edges)
+    cost_edges = [(e, c) for (e, _), c in zip(cost_edges, costs)]
     bit = {v: 1 << i for i, v in enumerate(verts)}
     adj = [0] * n
     for e in h.edges:
@@ -462,9 +467,8 @@ def optimal_ghd(
             frontier |= new & eliminated
         return reached & ~eliminated
 
-    price = graph_cover_pricer(edge_masks) if exact else None
-    scale = 2 if exact else 1  # integer costs are kept doubled
-    brackets: dict[int, tuple] = {}  # bag -> (lo, hi), scaled; lo == hi once exact
+    price = graph_cover_pricer(edge_masks)
+    brackets: dict[int, tuple] = {}  # bag -> (lo, hi), doubled; lo == hi once exact
     best: dict[int, Any] = {0: 0}
     choice: dict[int, int] = {}
     for mask in sorted(range(1, 1 << n), key=int.bit_count):  # subsets first
@@ -477,10 +481,10 @@ def optimal_ghd(
                 continue  # cannot beat the incumbent, nor win its tie
             bag = bag_of(v, mask ^ (1 << v))
             if (bounds := brackets.get(bag)) is None:
-                value = price(bag) if exact else None
+                value = price(bag)
                 if value is None:
                     lo, hi = cover_bracket(bag, edge_masks)
-                    bounds = (scale * lo, scale * hi)
+                    bounds = (2 * lo, 2 * hi)
                 else:
                     bounds = (value, value)
                 brackets[bag] = bounds
@@ -491,7 +495,7 @@ def optimal_ghd(
                 cost = below
             else:
                 if lo != hi:
-                    lo = scale * fractional_cover_value(attrs_of(bag), cost_edges)
+                    lo = 2 * fractional_cover_value(attrs_of(bag), cost_edges)
                     brackets[bag] = lo, lo
                 cost = max(below, lo)
             if best_cost is None or cost < best_cost:

@@ -2,20 +2,21 @@
 
 The cover LP (minimize Σ x_F·c_F with every bag attribute covered) is solved
 through its packing dual, which starts feasible from the all-slack basis.
-The costs choose the arithmetic (``exact_costs``): integer costs pivot
-fraction-free (Bareiss/Edmonds), the tableau stays in integers over one
-common denominator, every division is exact, and the optimum comes back as
-a Fraction, so widths compare bit-exactly; any other cost makes the solve
-run over floats with a fixed tolerance.  Both pivot by Bland's rule, which
-prevents cycling.  ``cover_bracket`` bounds the optimum from both sides
-without pivoting, and ``graph_cover_pricer`` gives it exactly, doubled to
-an int, for unit-cost edges meeting the bag in at most two attributes.
+Costs are rationals (ints, Fractions, or floats, each an exact binary
+fraction); ``integer_costs`` scales them by their common denominator, and
+the simplex pivots fraction-free (Bareiss/Edmonds): the tableau stays in
+integers over one common denominator, every division is exact, and the
+optimum comes back as a Fraction, so widths compare bit-exactly whatever
+the order of the edges.  Bland's rule prevents cycling.  ``cover_bracket``
+bounds the optimum from both sides without pivoting, and
+``graph_cover_pricer`` gives it exactly, doubled to an int, for edges of
+cost 1 meeting the bag in at most two attributes.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import chain
 from operator import index
 from typing import Iterable, Sequence
 
@@ -24,61 +25,19 @@ from .errors import InternalError
 MAX_PIVOTS = 10_000
 
 
-def exact_costs(costs: Iterable) -> bool:
-    """The one rule choosing the arithmetic: LPs whose costs are all ints are
-    solved exactly, to Fractions; any other cost makes them float solves."""
-    return all(isinstance(c, int) for c in costs)
+def integer_costs(costs: Iterable) -> tuple[list[int], int]:
+    """The costs times their least common denominator, as ints, and that
+    denominator."""
+    costs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in costs]
+    den = math.lcm(*(c.denominator for c in costs))
+    return [c.numerator * (den // c.denominator) for c in costs], den
 
 
-def maximize(objective: Sequence, rows: Sequence[Sequence], rhs: Sequence):
-    """Maximize objective·y subject to rows·y <= rhs, y >= 0 (rhs >= 0).
-
-    Over integer data the value is an exact Fraction; otherwise the data
-    may be any reals and the value is a float.
-    """
-    if exact_costs(chain(objective, rhs, *rows)):
-        return _maximize_exact(objective, rows, rhs)
-    n = len(objective)
-    m = len(rows)
-    tol = 1e-9
-    # tableau rows: [coeffs | slacks | rhs]; objective row keeps -coeffs
-    tab = [
-        [float(rows[i][j]) for j in range(n)]
-        + [1.0 if k == i else 0.0 for k in range(m)]
-        + [float(rhs[i])]
-        for i in range(m)
-    ]
-    obj = [-float(objective[j]) for j in range(n)] + [0.0] * (m + 1)
-    basis = [n + i for i in range(m)]
-
-    for _ in range(MAX_PIVOTS):
-        entering = next((j for j in range(n + m) if obj[j] < -tol), None)
-        if entering is None:
-            return obj[-1]
-        pivot_row, best = None, None
-        for i in range(m):
-            coeff = tab[i][entering]
-            if coeff > tol:
-                ratio = tab[i][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
-                    pivot_row, best = i, ratio
-        if pivot_row is None:
-            raise InternalError("unbounded cover LP: bag attribute in no edge")
-        coeff = tab[pivot_row][entering]
-        tab[pivot_row] = [v / coeff for v in tab[pivot_row]]
-        for i in range(m):
-            if i != pivot_row and tab[i][entering] != 0:
-                factor = tab[i][entering]
-                tab[i] = [v - factor * p for v, p in zip(tab[i], tab[pivot_row])]
-        if obj[entering] != 0:
-            factor = obj[entering]
-            obj = [v - factor * p for v, p in zip(obj, tab[pivot_row])]
-        basis[pivot_row] = entering
-    raise InternalError("simplex failed to converge")
-
-
-def _maximize_exact(objective: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> Fraction:
-    """The simplex over integer data; the true tableau is tab / d.
+def maximize(
+    objective: Sequence[int], rows: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> Fraction:
+    """Maximize objective·y subject to rows·y <= rhs, y >= 0, over integer
+    data with rhs >= 0; the true tableau is tab / d.
 
     Pivoting on p = tab[r][c] leaves row r as it is and maps every other row
     to (row·p − row[c]·tab[r]) / d, then sets d = p.  Each entry is a minor
@@ -119,9 +78,12 @@ def _maximize_exact(objective: Sequence, rows: Sequence[Sequence], rhs: Sequence
         prow = tab[pivot_row]
         p = prow[entering]
         for i, row in enumerate(tab):
-            if i != pivot_row:
-                f = row[entering]
+            if i == pivot_row:
+                continue
+            if f := row[entering]:
                 tab[i] = [(v * p - f * q) // d for v, q in zip(row, prow)]
+            elif p != d:  # only the common denominator changes
+                tab[i] = [v * p // d for v in row]
         f = obj[entering]
         obj = [(v * p - f * q) // d for v, q in zip(obj, prow)]
         d = p
@@ -158,14 +120,11 @@ def cover_bracket(bag: int, edges: Sequence[tuple[int, object]]):
     min_e c_e / |e ∩ bag|, which fills no edge's packing row past its cost, so
     it is dual-feasible.  hi is a greedy integral cover, each step taking the
     edge that covers the most uncovered attributes per unit of cost; being
-    primal-feasible, it costs at least the optimum.  Integer costs give exact
-    numbers (lo == hi then settles the value); float costs widen the bracket
-    by a 1e-9 slack so that rounding here or in the float simplex never puts
-    the LP's value outside it.
+    primal-feasible, it costs at least the optimum.  Costs are ints or
+    Fractions, so both bounds are exact and lo == hi settles the value.
     """
-    is_exact = exact_costs(c for _, c in edges)
     if not bag:
-        return (Fraction(0), Fraction(0)) if is_exact else (0.0, 0.0)
+        return Fraction(0), 0
     meets = [(e & bag, c) for e, c in edges if e & bag]
     hi, left = 0, bag
     while left:
@@ -184,12 +143,7 @@ def cover_bracket(bag: int, edges: Sequence[tuple[int, object]]):
         k = e.bit_count()
         if c * k_min < c_min * k:
             c_min, k_min = c, k
-    size = bag.bit_count()
-    if is_exact:
-        return Fraction(c_min * size, k_min), hi
-    lo = c_min * size / k_min
-    slack = 1e-9 * max(1.0, hi)
-    return lo - slack, hi + slack
+    return Fraction(c_min * bag.bit_count(), k_min), hi
 
 
 def graph_cover_pricer(edges: Sequence[tuple[int, object]]):
@@ -249,24 +203,21 @@ def _link(graph: dict[int, int], m: int) -> None:
 
 def fractional_cover_value(
     bag: frozenset[str], cost_edges: Sequence[tuple[frozenset[str], object]]
-):
-    """Optimal value of the fractional edge cover LP for one bag: a Fraction
-    for integer costs, else a float.
+) -> Fraction:
+    """Optimal value of the fractional edge cover LP for one bag, exactly
+    (0 for an empty bag).
 
-    cost_edges pairs each edge's attribute set with its cost (1 without
-    sizes, the float log_IN of the relation size with them).  An edge whose
+    cost_edges pairs each edge's attribute set with its rational cost (1
+    without sizes, log_IN of the relation size with them).  An edge whose
     restriction to the bag lies inside another's at no smaller cost is
     dropped first: its packing row can never bind, so the optimum is the same.
     """
-    if not bag:
-        return Fraction(0) if exact_costs(c for _, c in cost_edges) else 0.0
     attrs = sorted(bag)
     useful = [(e & bag, c) for e, c in cost_edges if e & bag]
     covered = set().union(*(e for e, _ in useful)) if useful else set()
     if covered != bag:
         raise InternalError(f"attributes {bag - covered} not covered by any edge")
     useful = _unimplied(useful)
-    objective = [1] * len(attrs)
+    rhs, den = integer_costs(c for _, c in useful)
     rows = [[1 if a in e else 0 for a in attrs] for e, _ in useful]
-    rhs = [c for _, c in useful]
-    return maximize(objective, rows, rhs)
+    return maximize([1] * len(attrs), rows, rhs) / den

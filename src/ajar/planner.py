@@ -5,6 +5,7 @@ round."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Mapping, Optional
 
 from .errors import InternalError, QueryError
@@ -47,7 +48,7 @@ class Plan:
     beta: AggregationOrdering  # compatible ordering, original attribute names
     width_report: WidthReport
     part_hypergraphs: list[Hypergraph]
-    part_widths: list[Any]
+    part_widths: list[Fraction]
     prepass: list[tuple[str, str]] = field(default_factory=list)  # (edge, attr)
     copies: dict[str, str] = field(default_factory=dict)  # copy -> attribute
 
@@ -56,21 +57,23 @@ class Plan:
         return self.width_report.width
 
     def to_dict(self) -> dict:
+        # data-mode widths print as floats, unit-mode ones as exact numbers
+        number = float if self.width_report.mode == "data" else _as_jsonable
         nodes = [
             {
                 "id": t,
                 "parent": self.ghd.parent[t],
                 "bag": sorted(self.ghd.chi[t]),
-                "width": _as_jsonable(self.width_report.per_bag[t]),
+                "width": number(self.width_report.per_bag[t]),
             }
             for t in self.ghd.nodes()
         ]
         out = {
-            "width": _as_jsonable(self.width),
+            "width": number(self.width),
             "mode": self.width_report.mode,
             "nodes": nodes,
             "ordering": [[a, op] for a, op in self.beta.items],
-            "part_widths": [_as_jsonable(w) for w in self.part_widths],
+            "part_widths": [number(w) for w in self.part_widths],
             "prepass": [[e, a] for e, a in self.prepass],
         }
         if self.copies:
@@ -83,12 +86,8 @@ class Plan:
         return out
 
 
-def _as_jsonable(value):
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
-        return float(value) if value.denominator != 1 else int(value)
-    return value
+def _as_jsonable(value: Fraction) -> int | float:
+    return float(value) if value.denominator != 1 else int(value)
 
 
 def _trailing_product_prepass(
@@ -226,7 +225,7 @@ def _contract(g: Ghd, products: bool) -> Ghd:
     return Ghd(root, parent, {t: bag for t, bag in g.chi.items() if t != g.root})
 
 
-def _regroup_part_widths(part_ghds: list[Ghd], report: WidthReport) -> list[Any]:
+def _regroup_part_widths(part_ghds: list[Ghd], report: WidthReport) -> list[Fraction]:
     """Per-part widths read off the report of the stitched bags, before
     contraction, so no cover LP is solved twice.  Stitching numbers the bags
     part by part in part order."""

@@ -7,7 +7,6 @@ exact (ints, Fractions, or an explicit infinity sentinel), never floats.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,10 +231,3 @@ def check_laws(spec: SemiringSpec, rng, triples: int = 1000) -> None:
                 f"{spec.name}/{op_name}: ⊗ does not distribute over ⊕"
             )
 
-
-def log_cost(size: int, total_input: int) -> float:
-    """log_IN(size) used by data-aware width mode."""
-    if size <= 1:
-        return 0.0
-    base = max(total_input, 2)
-    return math.log(size) / math.log(base)

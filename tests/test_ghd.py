@@ -182,6 +182,38 @@ class TestWidth:
         assert report.mode == "data"
         assert report.width == pytest.approx(3 * math.log(10) / math.log(110))
 
+    def test_data_width_does_not_depend_on_the_atom_order(self):
+        # a float simplex rounded this bag differently in the two orders
+        atoms = [
+            ("E0", ("A2", "A3", "A4")),
+            ("E1", ("A1", "A2", "A5")),
+            ("E2", ("A1", "A3", "A4")),
+            ("E3", ("A1", "A2", "A4")),
+            ("E4", ("A0", "A4")),
+            ("E5", ("A1", "A4", "A5")),
+            ("E6", ("A3",)),
+        ]
+        sizes = dict(zip((name for name, _ in atoms), (100, 100, 1000, 1000, 10**6, 100, 10**4)))
+        forward, backward = (Hypergraph.build(order) for order in (atoms, atoms[::-1]))
+        whole = Ghd.single(forward.vertices)
+        assert width(whole, forward, sizes).width == width(whole, backward, sizes).width
+
+    def test_data_covers_do_not_depend_on_the_edge_order(self):
+        for seed in range(3000):
+            rng = random.Random(seed)
+            n = rng.randint(1, 6)
+            attrs = [f"A{i}" for i in range(n)]
+            h = Hypergraph.build(
+                [
+                    (f"E{j}", tuple(rng.sample(attrs, rng.randint(1, min(3, n)))))
+                    for j in range(rng.randint(1, 7))
+                ]
+            )
+            sizes = {e.name: rng.choice((10**2, 10**3, 10**4, 10**6)) for e in h.edges}
+            cost = cost_edges_for(h, sizes)
+            forward = fractional_cover_value(h.vertices, cost)
+            assert forward == fractional_cover_value(h.vertices, cost[::-1]), seed
+
     @pytest.mark.parametrize("bag", [("A", "Z"), ("A", "B", "Z"), ("Z",)])
     @pytest.mark.parametrize("mode", ["unit", "data"])
     def test_bag_attribute_in_no_edge_raises(self, chain_h, bag, mode):

@@ -46,15 +46,18 @@ class TestUnitMode:
         assert fractional_cover_value(bag("A", "B", "C"), cost) == 2
 
 
-def test_the_costs_choose_the_arithmetic():
-    # all-int costs solve exactly; one float cost makes the solve a float one
+def test_every_cost_solves_exactly():
+    # a float cost is an exact binary fraction, so it solves exactly too
     abc = bag("A", "B", "C")
     unit = edges((("A", "B"), 1), (("B", "C"), 1), (("C", "A"), 1))
     mixed = unit[:2] + edges((("C", "A"), 1.0))
-    assert type(fractional_cover_value(abc, unit)) is Fraction
-    value = fractional_cover_value(abc, mixed)
-    assert type(value) is float and value == pytest.approx(1.5)
-    assert type(fractional_cover_value(bag(), mixed)) is float
+    halves = edges((("A", "B"), 0.5), (("B", "C"), Fraction(1, 2)), (("C", "A"), 0.5))
+    for cost, want in ((unit, Fraction(3, 2)), (mixed, Fraction(3, 2)), (halves, Fraction(3, 4))):
+        value = fractional_cover_value(abc, cost)
+        assert type(value) is Fraction and value == want
+    # 0.1 is not 1/10 but the binary fraction nearest it, kept exactly
+    assert fractional_cover_value(bag("A", "B"), edges((("A", "B"), 0.1))) == Fraction(0.1)
+    assert type(fractional_cover_value(bag(), mixed)) is Fraction
 
 
 class TestDataMode:
@@ -161,8 +164,8 @@ def test_random_cover_lps_match_vertex_enumeration():
 
 
 def test_cover_bracket_holds_the_lp_value():
-    # lo <= LP <= hi on random bags and edges, unit and data mode; exact
-    # mode's bounds are exact numbers and data mode's sit within the slack
+    # lo <= LP <= hi on random bags and edges, with int costs and with
+    # Fraction costs, the bounds exact numbers either way
     rng = random.Random(43)
     for trial in range(400):
         k = rng.randint(1, 7)
@@ -181,10 +184,10 @@ def test_cover_bracket_holds_the_lp_value():
         exact_lo, hi = cover_bracket(target_mask, masks)
         assert isinstance(exact_lo, Fraction) and isinstance(hi, int), (cost, target)
         assert exact_lo <= value <= hi, (cost, target, exact_lo, value, hi)
-        approx = fractional_cover_value(target, [(e, c / 7) for e, c in cost])
-        lo, hi = cover_bracket(target_mask, [(m, c / 7) for m, c in masks])
-        assert lo < approx < hi, (cost, target, lo, approx, hi)
-        assert 0 < exact_lo / 7 - lo <= 1e-8, (cost, target)
+        sevenths = fractional_cover_value(target, [(e, Fraction(c, 7)) for e, c in cost])
+        lo, hi_sevenths = cover_bracket(target_mask, [(m, Fraction(c, 7)) for m, c in masks])
+        assert lo <= sevenths <= hi_sevenths, (cost, target, lo, sevenths, hi_sevenths)
+        assert (lo, hi_sevenths, sevenths) == (exact_lo / 7, Fraction(hi, 7), value / 7)
 
 
 def test_cover_bracket_is_tight_on_single_edges_and_the_triangle():
@@ -199,8 +202,7 @@ def test_cover_bracket_of_an_empty_bag_is_zero():
     # as fractional_cover_value prices an empty bag, with no edge to read
     assert cover_bracket(0, [(0b01, 1)]) == (0, 0)
     assert cover_bracket(0, []) == (0, 0)
-    lo, hi = cover_bracket(0, [(0b01, 0.5)])
-    assert (lo, hi) == (0.0, 0.0) and isinstance(lo, float)
+    assert cover_bracket(0, [(0b01, Fraction(1, 2))]) == (0, 0)
 
 
 def test_cover_bracket_uncovered_attribute_is_internal_error():

@@ -170,6 +170,11 @@ class TestPlan:
         with pytest.raises(QueryError, match="'S'"):
             plan(chain_h, ordering(), sizes={"R": 10})
 
+    @pytest.mark.parametrize("size", [-5, 0, True, False, 2.5, 10.0, "10", None])
+    def test_a_size_that_is_not_a_positive_int_names_its_edge(self, chain_h, size):
+        with pytest.raises(QueryError, match="'R'"):
+            plan(chain_h, ordering(), sizes={"R": size, "S": 10})
+
     @pytest.mark.parametrize("mode", ["unit", "data"])
     def test_part_widths_are_each_parts_own_width(self, mode):
         # part i's width is the max cover value over the bags of part i's own
@@ -259,19 +264,40 @@ class TestPlan:
         assert p.width == Fraction(5, 2)
         assert len(calls) <= 12, len(calls)
 
-    def test_data_mode_never_prices_by_the_matching(self, monkeypatch):
-        # data-mode costs are floats, priced by the bracket and the LP even
-        # when every edge costs 1.0
+    def test_data_costs_scaling_to_ones_are_priced_by_the_matching(self, monkeypatch):
+        # costs 1.0 or 0.5 on every edge scale to all ones, so the matching
+        # prices every bag of the 5-cycle, no LP runs, and the tree is the
+        # unpruned search's
         from ajar import ghd
+        from reference_ghd import unpruned_optimal_ghd
 
-        def refuse(*args):
-            raise AssertionError("graph_cover_pricer called in data mode")
+        priced, solves = [], []
+        make, solve = ghd.graph_cover_pricer, ghd.fractional_cover_value
 
-        monkeypatch.setattr(ghd, "graph_cover_pricer", refuse)
+        def counting_pricer(edges):
+            price = make(edges)
+
+            def spy(bag):
+                value = price(bag)
+                priced.append(value)
+                return value
+
+            return spy
+
+        def counting_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(ghd, "graph_cover_pricer", counting_pricer)
+        monkeypatch.setattr(ghd, "fractional_cover_value", counting_solve)
         h = Hypergraph.build([(f"R{i}", (f"A{i}", f"A{(i + 1) % 5}")) for i in range(5)])
         for cost in (1.0, 0.5):
-            g = optimal_ghd(h, cost_edges=[(e.attrs, cost) for e in h.edges])
-            assert is_ghd(h, g)
+            priced.clear()
+            cost_edges = [(e.attrs, cost) for e in h.edges]
+            g = optimal_ghd(h, cost_edges=cost_edges)
+            want = unpruned_optimal_ghd(h, cost_edges=cost_edges)
+            assert (g.root, g.parent, g.chi) == (want.root, want.parent, want.chi)
+            assert priced and None not in priced and not solves
 
 
 class TestContraction:
