@@ -24,7 +24,6 @@ those inside ``join`` and the folds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from itertools import chain, compress, count, islice, repeat, tee
 from operator import and_, ne
@@ -46,15 +45,15 @@ from .relations import (
 from .semirings import PRODUCT, SemiringSpec
 
 
-@dataclass
 class ExecStats:
     """Instrumented tuple counters, exported as JSON by the CLI."""
 
-    bag_input_tuples: dict[str, int] = field(default_factory=dict)
-    bag_output_tuples: dict[str, int] = field(default_factory=dict)
-    semijoin_removed: int = 0
-    multiplications: int = 0
-    intermediate_tuples: int = 0
+    def __init__(self):
+        self.bag_input_tuples: dict[str, int] = {}
+        self.bag_output_tuples: dict[str, int] = {}
+        self.semijoin_removed = 0
+        self.multiplications = 0
+        self.intermediate_tuples = 0
 
     def record_bag(self, label: str, inputs: int, outputs: int) -> None:
         """Add one bag's tuple counts; repeated labels accumulate."""
@@ -82,7 +81,7 @@ def counted_semiring(semiring: SemiringSpec, stats: Optional[ExecStats]) -> Semi
         stats.multiplications += 1
         return base(a, b)
 
-    return replace(semiring, multiply=mul)
+    return semiring._replace(multiply=mul)
 
 
 def generic_join(

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InternalError, QueryError
 from .hypergraph import Edge, Hypergraph, connected_components
@@ -21,13 +20,21 @@ from .ordering import AggregationOrdering, PrecedenceRelation, commute_block
 from .semirings import PRODUCT
 
 
-@dataclass
 class Ghd:
     """Rooted tree of bags; node ids are opaque ints."""
 
-    root: int
-    parent: dict[int, Optional[int]]
-    chi: dict[int, frozenset[str]]
+    def __init__(self, root: int, parent: dict[int, Optional[int]], chi: dict[int, frozenset[str]]):
+        self.root = root
+        self.parent = parent
+        self.chi = chi
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.root, self.parent, self.chi) == (other.root, other.parent, other.chi)
+
+    def __repr__(self):
+        return f"Ghd(root={self.root!r}, parent={self.parent!r}, chi={self.chi!r})"
 
     @classmethod
     def single(cls, bag: Iterable[str]) -> "Ghd":
@@ -164,8 +171,7 @@ def is_valid(prec: PrecedenceRelation, g: Ghd) -> bool:
     return not any(prec.before(b, a) for a, b in tops_above(g))
 
 
-@dataclass(frozen=True)
-class WidthReport:
+class WidthReport(NamedTuple):
     """Exact per-bag widths, Fractions in both modes; ``mode`` only tells
     the printed outputs to show a data-mode width as a float."""
 
@@ -223,13 +229,13 @@ def width(g: Ghd, h: Hypergraph, sizes: Optional[dict[str, int]] = None) -> Widt
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Part:
     """One characteristic hypergraph with its hook to the parent part."""
 
-    hypergraph: Hypergraph
-    interface: frozenset[str]  # attrs shared with the parent part (empty at root)
-    children: list["Part"] = field(default_factory=list)
+    def __init__(self, hypergraph: Hypergraph, interface: frozenset[str], children: list[Part]):
+        self.hypergraph = hypergraph
+        self.interface = interface  # attrs shared with the parent part (empty at root)
+        self.children = children
 
     def flatten(self) -> list["Part"]:
         out = [self]

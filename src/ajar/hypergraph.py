@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 from .errors import QueryError
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A hyperedge tagged with the relation (atom) it stands for."""
 
     name: str
@@ -19,8 +17,7 @@ class Edge:
         return f"{self.name}({','.join(sorted(self.attrs))})"
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(NamedTuple):
     vertices: frozenset[str]
     edges: tuple[Edge, ...]
 

@@ -7,9 +7,8 @@ against independent evaluations on small instances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import QueryError
 from .ghd import Ghd
@@ -44,8 +43,7 @@ def naive_eval(
     return rel
 
 
-@dataclass(frozen=True)
-class RandomInstanceSpec:
+class RandomInstanceSpec(NamedTuple):
     """Deterministic random-instance generator for one semiring."""
 
     semiring_name: str = "int"
@@ -89,8 +87,7 @@ def _product(pools):
             yield (head,) + rest
 
 
-@dataclass(frozen=True)
-class EquivVerdict:
+class EquivVerdict(NamedTuple):
     equivalent_likely: bool
     counterexample: Optional[dict[str, AnnotatedRelation]] = None
 

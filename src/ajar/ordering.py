@@ -14,34 +14,52 @@ orderings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ExtensionOverflow, InternalError, QueryError
 from .hypergraph import Hypergraph, connected_components, find_path
 from .semirings import PRODUCT
 
 
-@dataclass(frozen=True)
 class AggregationOrdering:
     """Sequence of (attribute, operator-name) pairs, outermost first.
 
     Attributes not listed are output attributes.  The operator name is either
     an additive operator of the semiring in play or the product marker.
+    Immutable; it hashes as the tuple ``(items,)``.
     """
 
+    __slots__ = ("items",)
     items: tuple[tuple[str, str], ...]
+
+    def __init__(self, items: tuple[tuple[str, str], ...]):
+        seen = set()
+        for attr, _ in items:
+            if attr in seen:
+                raise QueryError(f"attribute {attr!r} repeated in ordering")
+            seen.add(attr)
+        object.__setattr__(self, "items", items)
 
     @classmethod
     def of(cls, *items: tuple[str, str]) -> "AggregationOrdering":
         return cls(tuple(items))
 
-    def __post_init__(self):
-        seen = set()
-        for attr, _ in self.items:
-            if attr in seen:
-                raise QueryError(f"attribute {attr!r} repeated in ordering")
-            seen.add(attr)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self):
+        return hash((self.items,))
+
+    def __repr__(self):
+        return f"AggregationOrdering(items={self.items!r})"
 
     def __len__(self):
         return len(self.items)
@@ -89,8 +107,7 @@ class AggregationOrdering:
         raise QueryError(f"attribute {attr!r} not in ordering")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """First constraint that rejected an equivalence candidate."""
 
     earlier: str  # attribute that must stay earlier in the candidate
@@ -191,8 +208,7 @@ def test_equivalence(
     return explain_equivalence(h, alpha, beta) is None
 
 
-@dataclass(frozen=True)
-class PrecedenceRelation:
+class PrecedenceRelation(NamedTuple):
     """PREC pairs and DNC pairs over the aggregated attributes.
 
     Output attributes are carried separately: under the extended order every

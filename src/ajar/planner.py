@@ -4,7 +4,6 @@ round."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Optional
 
@@ -36,21 +35,32 @@ from .relations import (
 from .semirings import PRODUCT, SemiringSpec
 
 
-@dataclass
 class Plan:
     """A stitched GHD with a compatible equivalent ordering.  The product
     attributes left after the pre-pass are split into copies
     (``split_products``); alpha and beta keep the query's attributes."""
 
-    hypergraph: Hypergraph  # post-prepass query body, over the copies
-    alpha: AggregationOrdering  # post-prepass ordering
-    ghd: Ghd  # over the copies
-    beta: AggregationOrdering  # compatible ordering, original attribute names
-    width_report: WidthReport
-    part_hypergraphs: list[Hypergraph]
-    part_widths: list[Fraction]
-    prepass: list[tuple[str, str]] = field(default_factory=list)  # (edge, attr)
-    copies: dict[str, str] = field(default_factory=dict)  # copy -> attribute
+    def __init__(
+        self,
+        hypergraph: Hypergraph,
+        alpha: AggregationOrdering,
+        ghd: Ghd,
+        beta: AggregationOrdering,
+        width_report: WidthReport,
+        part_hypergraphs: list[Hypergraph],
+        part_widths: list[Fraction],
+        prepass: list[tuple[str, str]],
+        copies: dict[str, str],
+    ):
+        self.hypergraph = hypergraph  # post-prepass query body, over the copies
+        self.alpha = alpha  # post-prepass ordering
+        self.ghd = ghd  # over the copies
+        self.beta = beta  # compatible ordering, original attribute names
+        self.width_report = width_report
+        self.part_hypergraphs = part_hypergraphs
+        self.part_widths = part_widths
+        self.prepass = prepass  # (edge, attr)
+        self.copies = copies  # copy -> attribute
 
     @property
     def width(self):

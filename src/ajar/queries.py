@@ -14,8 +14,7 @@ exactly the attributes missing from the prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ParseError
 from .hypergraph import Hypergraph
@@ -26,8 +25,7 @@ _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_BODY = _NAME_START | set("0123456789")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # name | punct | end
     text: str
     line: int
@@ -83,15 +81,13 @@ class _Cursor:
         return tok
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     relation: str  # relation (file) name
     edge_name: str  # unique per atom; differs from relation when repeated
     attrs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ParsedQuery:
+class ParsedQuery(NamedTuple):
     head_name: str
     head_attrs: tuple[str, ...]
     ordering: AggregationOrdering

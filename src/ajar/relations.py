@@ -7,8 +7,7 @@ map comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import InternalError, QueryError
 from .semirings import SemiringSpec
@@ -96,8 +95,7 @@ def project_ones(rel: AnnotatedRelation, attrs: Iterable[str], one: Any) -> Anno
     return out
 
 
-@dataclass(frozen=True)
-class DomainRegistry:
+class DomainRegistry(NamedTuple):
     """Per-attribute finite value domains, explicit or active."""
 
     values: Mapping[str, frozenset]

@@ -8,10 +8,9 @@ exact (ints, Fractions, or an explicit infinity sentinel), never floats.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import QueryError
 
@@ -54,8 +53,7 @@ class _Infinity:
 INF = _Infinity()
 
 
-@dataclass(frozen=True)
-class SemiringSpec:
+class SemiringSpec(NamedTuple):
     """A domain of annotation values with one ⊗ and several named ⊕ operators."""
 
     name: str

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import math
 import random
@@ -33,8 +32,8 @@ from ajar.planner import plan, run
 from conftest import chain, ordering, random_query
 
 # int with ⊕ a plain Python function, which generic_join folds by reduce
-register_semiring(dataclasses.replace(
-    get_semiring("int"), name="int-fn", additive_ops={"sum": lambda a, b: a + b}))
+register_semiring(get_semiring("int")._replace(
+    name="int-fn", additive_ops={"sum": lambda a, b: a + b}))
 
 
 def two_node_tree(r, s):
@@ -203,7 +202,7 @@ class TestGenericJoin:
             calls.append(1)
             return base.multiply(a, b)
 
-        sr = dataclasses.replace(base, multiply=multiply)
+        sr = base._replace(multiply=multiply)
         rng = random.Random(59)
         tuples = {(a, b): rng.choice([-2, -1, 2, 3]) for a in range(6) for b in range(6)
                   if rng.random() < 0.5}
@@ -294,7 +293,7 @@ class TestGenericJoin:
             calls.append(1)
             return base.multiply(a, b)
 
-        sr = dataclasses.replace(base, multiply=multiply)
+        sr = base._replace(multiply=multiply)
         disjoint = data == "int-split"
         h = Hypergraph.build([(rel, tuple(attrs)) for rel, attrs in atoms])
         alpha = ordering(*fold)
@@ -904,7 +903,7 @@ class TestAggroGhdJoin:
                 calls.append(1)
                 return base.multiply(a, b)
 
-            return base, dataclasses.replace(base, multiply=multiply)
+            return base, base._replace(multiply=multiply)
 
         path = Hypergraph.build([(f"E{i}", (f"A{i}", f"A{i + 1}")) for i in range(1, 6)])
         collapsed = Hypergraph.build([("R", ("A", "B")), ("S", ("C",))])
