@@ -323,10 +323,13 @@ def _covering_node(g: Ghd, attrs: frozenset[str]) -> int:
     raise QueryError(f"no bag covers interface {sorted(attrs)}")
 
 
-def stitch_tree(part: Part, ghds: Iterable[Ghd]) -> Ghd:
-    """Attach part GHDs along interface edges; width is the max over parts."""
+def stitch_tree(part: Part, ghds: Sequence[Ghd]) -> Ghd:
+    """Attach part GHDs, one per part in ``part.flatten()`` order, along
+    interface edges; width is the max over parts."""
+    expected = len(part.flatten())
+    if len(ghds) != expected:
+        raise QueryError(f"expected {expected} part GHDs, got {len(ghds)}")
     ghd_iter = iter(ghds)
-
     counter = itertools.count()
 
     def build(part: Part) -> Ghd:
@@ -345,20 +348,12 @@ def stitch_tree(part: Part, ghds: Iterable[Ghd]) -> Ghd:
             parent[sub.root] = hook
         return Ghd(root=g.root, parent=parent, chi=chi)
 
-    out = build(part)
-    leftover = next(ghd_iter, None)
-    if leftover is not None:
-        raise QueryError("more part GHDs than characteristic hypergraphs")
-    return out
+    return build(part)
 
 
 def stitch(h: Hypergraph, alpha: AggregationOrdering, parts: Sequence[Ghd]) -> Ghd:
     """Stitch GHDs given in the order characteristic_hypergraphs returns."""
-    tree = characteristic_tree(h, alpha)
-    expected = len(tree.flatten())
-    if len(parts) != expected:
-        raise QueryError(f"expected {expected} part GHDs, got {len(parts)}")
-    return stitch_tree(tree, parts)
+    return stitch_tree(characteristic_tree(h, alpha), parts)
 
 
 def split_products(

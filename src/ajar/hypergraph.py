@@ -37,7 +37,7 @@ class Hypergraph(NamedTuple):
         return cls(vertices=vertices, edges=tuple(tagged))
 
 
-def _restricted_adjacency(h: Hypergraph, alive: AbstractSet[str]) -> dict[str, set[str]]:
+def adjacency(h: Hypergraph, alive: AbstractSet[str]) -> dict[str, set[str]]:
     """Neighbours among the alive vertices, edges restricted to them."""
     adj: dict[str, set[str]] = {v: set() for v in alive}
     for e in h.edges:
@@ -56,7 +56,7 @@ def connected_components(h: Hypergraph, removed: Iterable[str]) -> list[frozense
     if not removed <= h.vertices:
         raise QueryError(f"removed attributes {removed - h.vertices} not in hypergraph")
     alive = h.vertices - removed
-    adj = _restricted_adjacency(h, alive)
+    adj = adjacency(h, alive)
     components = []
     unseen = set(alive)
     while unseen:
@@ -81,7 +81,7 @@ def find_path(
     allowed = set(allowed)
     if a not in allowed or b not in allowed or not allowed <= h.vertices:
         raise QueryError("path endpoints must lie in allowed ⊆ vertices")
-    adj = _restricted_adjacency(h, allowed)
+    adj = adjacency(h, allowed)
     prev: dict[str, str] = {}
     stack, seen = [a], {a}
     while stack:

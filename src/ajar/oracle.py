@@ -6,13 +6,15 @@ against independent evaluations on small instances.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import QueryError
-from .ghd import Ghd
+from .ghd import Ghd, cost_edges_for
 from .hypergraph import Hypergraph
+from .lp import fractional_cover_value
 from .ordering import AggregationOrdering, compute_prec, explain_equivalence
 from .relations import (
     AnnotatedRelation,
@@ -43,48 +45,38 @@ def naive_eval(
     return rel
 
 
+# One annotation draw per semiring domain; zeros are drawn too, then
+# canonicalized away.  A domain not named here parses as an integer.
+_ANNOTATION_DRAWS: dict[str, Callable[[random.Random], object]] = {
+    "integer": lambda rng: rng.randint(0, 5),
+    "extended-integer-with-infinity": lambda rng: rng.randint(0, 9),
+    "boolean-01": lambda rng: rng.randint(0, 1),
+    "nonneg-real": lambda rng: Fraction(rng.randint(0, 6), rng.randint(1, 3)),
+}
+
+
 class RandomInstanceSpec(NamedTuple):
-    """Deterministic random-instance generator for one semiring."""
+    """Deterministic random-instance generator for one semiring, drawing
+    annotations from the semiring's domain."""
 
     semiring_name: str = "int"
     domain_size: int = 3
     density: float = 0.6
     seed: int = 0
 
-    def sample_annotation(self, rng: random.Random):
-        name = self.semiring_name
-        if name == "int":
-            return rng.randint(0, 5)  # zeros exercised, then canonicalized
-        if name == "minplus":
-            return rng.randint(0, 9)
-        if name == "bool01":
-            return rng.randint(0, 1)
-        if name == "qplus":
-            return Fraction(rng.randint(0, 6), rng.randint(1, 3))
-        return rng.randint(0, 5)
-
     def instance(self, h: Hypergraph) -> dict[str, AnnotatedRelation]:
         rng = random.Random(self.seed)
         semiring = get_semiring(self.semiring_name)
+        draw = _ANNOTATION_DRAWS.get(semiring.domain, _ANNOTATION_DRAWS["integer"])
         out: dict[str, AnnotatedRelation] = {}
         for e in sorted(h.edges, key=lambda e: e.name):
             attrs = sorted(e.attrs)
             rows = {}
-            values = [range(self.domain_size)] * len(attrs)
-            for row in _product(values):
+            for row in itertools.product(range(self.domain_size), repeat=len(attrs)):
                 if rng.random() < self.density:
-                    rows[row] = self.sample_annotation(rng)
+                    rows[row] = draw(rng)
             out[e.name] = AnnotatedRelation(attrs, rows, zero=semiring.zero)
         return out
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head,) + rest
 
 
 class EquivVerdict(NamedTuple):
@@ -238,6 +230,14 @@ def exhaustive_valid_ghds(
     def admits(mask: int) -> bool:
         return bag_filter is None or bag_filter(to_bag(mask))
 
+    def covered_by(bag: int) -> int:
+        """Bitmask of the edges inside bag."""
+        covered = 0
+        for idx, emask in enumerate(edge_masks):
+            if not emask & ~bag:
+                covered |= 1 << idx
+        return covered
+
     seen_states: set[frozenset] = set()
 
     # nodes: list of (bag_mask, parent_index); topped[i]: attrs topped at node i
@@ -286,15 +286,11 @@ def exhaustive_valid_ghds(
                     walk = nodes[walk][1]
                 if not ok:
                     continue
-                new_covered = covered
-                for idx, emask in enumerate(edge_masks):
-                    if not emask & ~bag:
-                        new_covered |= 1 << idx
                 yield from grow(
                     nodes + [(bag, target)],
                     present | bag,
                     topped + [fresh],
-                    new_covered,
+                    covered | covered_by(bag),
                     key,
                 )
 
@@ -303,11 +299,7 @@ def exhaustive_valid_ghds(
         if state in seen_states or not admits(bag):
             continue
         seen_states.add(state)
-        covered = 0
-        for idx, emask in enumerate(edge_masks):
-            if not emask & ~bag:
-                covered |= 1 << idx
-        yield from grow([(bag, None)], bag, [bag], covered, state)
+        yield from grow([(bag, None)], bag, [bag], covered_by(bag), state)
 
 
 def min_valid_width(
@@ -320,9 +312,6 @@ def min_valid_width(
     Width is a maximum over bags and the best so far only falls, so a bag
     costing at least the best can never be in a narrower GHD: the stream
     skips it, and the minimum stays exact."""
-    from .ghd import cost_edges_for
-    from .lp import fractional_cover_value
-
     cost = cost_edges_for(h, sizes)
     cache: dict[frozenset, object] = {}
 

@@ -7,9 +7,10 @@ attributes its edges hold) and otherwise checks whether the head of one
 ordering can commute to the front of the other.  The ordering says which of
 its attributes are products, so the product variant needs no separate switch;
 product aggregations assume an idempotent ⊗.  The fixed-point computation
-turns the same structure into an explicit strict partial order, for
+turns the same structure into an explicit strict partial order, PREC, for
 product-free orderings, whose linear extensions are exactly the equivalent
-orderings.
+orderings.  A pair that does not commute (DNC) is always ordered as the
+ordering orders it, so DNC is PREC read without direction.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ExtensionOverflow, InternalError, QueryError
-from .hypergraph import Hypergraph, connected_components, find_path
+from .hypergraph import Hypergraph, adjacency, connected_components, find_path
 from .semirings import PRODUCT
 
 
@@ -209,14 +210,14 @@ def test_equivalence(
 
 
 class PrecedenceRelation(NamedTuple):
-    """PREC pairs and DNC pairs over the aggregated attributes.
+    """PREC over the aggregated attributes, and the output attributes.
 
-    Output attributes are carried separately: under the extended order every
-    output attribute precedes every non-output attribute.
+    PREC read without direction is DNC, the pairs that do not commute.
+    Outputs are carried on their own: under the extended order every output
+    attribute precedes every aggregated attribute.
     """
 
     prec: frozenset[tuple[str, str]]
-    dnc: frozenset[frozenset[str]]
     outputs: frozenset[str]
     aggregated: frozenset[str]
 
@@ -236,87 +237,46 @@ class PrecedenceRelation(NamedTuple):
 
 
 def compute_prec(h: Hypergraph, alpha: AggregationOrdering) -> PrecedenceRelation:
-    """Least fixed point of the DNC/PREC rules for a product-free ordering."""
+    """Least fixed point of the PREC rules for a product-free ordering.
+
+    In the extended ordering (outputs first, with no operator, then alpha)
+    each output precedes each aggregated attribute from the start, and a
+    successor of an aggregated attribute is aggregated, so no rule derives
+    a pair of aggregated attributes from one holding an output: the fixed
+    point runs over alpha alone, one successor map ``after`` holding PREC.
+    A pair a-before-b joins it when
+      - the operators differ and a and b share an edge (initial),
+      - the operators differ and a successor of one shares an edge with the
+        other (extension), or
+      - b succeeds a successor of a (transitivity).
+    """
     if alpha.has_products():
         raise QueryError("precedence relation is defined for product-free orderings")
-    outputs = sorted(h.vertices - alpha.attrs())
-    # Extended ordering: outputs first with a null operator, then alpha.
-    extended: list[tuple[str, Optional[str]]] = [(a, None) for a in outputs]
-    extended += [(a, op) for a, op in alpha.items]
-    pos = {a: i for i, (a, _) in enumerate(extended)}
-    op_of = dict(extended)
-    share_edge = {
-        frozenset((x, y))
-        for e in h.edges
-        for x in e.attrs
-        for y in e.attrs
-        if x != y
-    }
-
-    dnc: set[frozenset[str]] = set()
-    prec: set[tuple[str, str]] = set()
-
-    def note(a: str, b: str) -> bool:
-        pair = frozenset((a, b))
-        if pair in dnc:
-            return False
-        dnc.add(pair)
-        first, second = (a, b) if pos[a] < pos[b] else (b, a)
-        prec.add((first, second))
-        return True
-
-    attrs = [a for a, _ in extended]
-    for x in attrs:
-        for y in attrs:
-            if pos[x] >= pos[y] or op_of[x] == op_of[y]:
+    op_of = alpha.operators()
+    adj = adjacency(h, alpha.attrs())
+    attrs = alpha.attr_list()
+    pairs = [(a, b) for i, a in enumerate(attrs) for b in attrs[i + 1 :]]
+    after: dict[str, set[str]] = {a: set() for a in attrs}
+    # every round but the last adds a pair
+    for _ in range(len(pairs) + 1):
+        grew = False
+        for a, b in pairs:
+            if b in after[a]:
                 continue
-            if frozenset((x, y)) in share_edge or op_of[x] is None or op_of[y] is None:
-                note(x, y)
-
-    successors: dict[str, set[str]] = {a: set() for a in attrs}
-    for x, y in prec:
-        successors[x].add(y)
-
-    bound = 2 * len(extended) ** 2 + 1
-    rounds = 0
-    changed = True
-    while changed:
-        rounds += 1
-        if rounds > bound:
-            raise InternalError("precedence fixed point exceeded its iteration bound")
-        changed = False
-        fresh: list[tuple[str, str]] = []
-        for a in attrs:
-            for b in attrs:
-                if a == b or frozenset((a, b)) in dnc:
-                    continue
-                # extension: PREC(x, c) with y, c sharing an edge, {x, y} = {a, b}
-                if op_of[a] != op_of[b] and any(
-                    frozenset((y, c)) in share_edge
-                    for x, y in ((a, b), (b, a))
-                    for c in successors[x]
-                    if c != y
-                ):
-                    fresh.append((a, b))
-                    continue
-                # transitivity through any c
-                if any(b in successors[c] for c in successors[a]) or any(
-                    a in successors[c] for c in successors[b]
-                ):
-                    fresh.append((a, b))
-        for a, b in fresh:
-            if note(a, b):
-                first, second = (a, b) if pos[a] < pos[b] else (b, a)
-                successors[first].add(second)
-                changed = True
-
-    agg = alpha.attrs()
-    return PrecedenceRelation(
-        prec=frozenset((x, y) for x, y in prec if x in agg and y in agg),
-        dnc=frozenset(p for p in dnc if p <= agg),
-        outputs=frozenset(outputs),
-        aggregated=agg,
-    )
+            if op_of[a] != op_of[b] and (
+                b in adj[a]
+                or not after[a].isdisjoint(adj[b])
+                or not after[b].isdisjoint(adj[a])
+            ) or any(b in after[c] for c in after[a]):
+                after[a].add(b)
+                grew = True
+        if not grew:
+            return PrecedenceRelation(
+                prec=frozenset((a, b) for a in attrs for b in after[a]),
+                outputs=frozenset(h.vertices - alpha.attrs()),
+                aggregated=alpha.attrs(),
+            )
+    raise InternalError("precedence fixed point exceeded its iteration bound")
 
 
 def linear_extensions(

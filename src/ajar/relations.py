@@ -114,10 +114,8 @@ class DomainRegistry(NamedTuple):
         """
         active: dict[str, set] = {}
         for rel in (relations or {}).values():
-            for pos, attr in enumerate(rel.schema):
-                bucket = active.setdefault(attr, set())
-                for row in rel.tuples:
-                    bucket.add(row[pos])
+            for attr in rel.schema:
+                active.setdefault(attr, set()).update(rel.distinct(attr))
         resolved: dict[str, frozenset] = {}
         for attr, decl in declarations.items():
             if decl == "active":

@@ -308,6 +308,14 @@ class TestStitch:
         stitched = stitch(chain_h, ordering(), [g])
         assert stitched.canonical_code() == g.canonical_code()
 
+    def test_stitch_tree_counts_part_ghds(self, chain_h):
+        tree = characteristic_tree(chain_h, ordering(("C", "sum")))
+        ghds = [optimal_ghd(p.hypergraph) for p in tree.flatten()]
+        assert len(ghds) == 2
+        for given in (ghds[:1], ghds + ghds[:1]):
+            with pytest.raises(QueryError, match=rf"^expected 2 part GHDs, got {len(given)}$"):
+                stitch_tree(tree, given)
+
     def test_star_stitch_is_valid_width_one(self):
         star = Hypergraph.build([(f"E{i}", ("A", f"B{i}")) for i in range(1, 5)])
         alpha = ordering(*[(f"B{i}", "sum") for i in range(1, 5)])

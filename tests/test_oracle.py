@@ -1,4 +1,6 @@
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +14,7 @@ from ajar import (
     get_semiring,
     naive_eval,
     plan,
+    register_semiring,
     semantic_equiv,
     width,
 )
@@ -22,6 +25,7 @@ from ajar.oracle import (
     floyd_warshall,
     min_valid_width,
 )
+from ajar.semirings import _REGISTRY
 from conftest import chain, ordering, random_query
 
 
@@ -89,6 +93,34 @@ class TestRandomInstances:
         inst = RandomInstanceSpec(seed=1, density=1.0).instance(chain_h)
         for rel in inst.values():
             assert all(lam != 0 for lam in rel.tuples.values())
+
+    def test_renamed_boolean_semiring_draws_booleans(self, chain_h):
+        flags = _renamed("bool01", "flags")
+        inst = RandomInstanceSpec(semiring_name="flags", seed=1).instance(chain_h)
+        values = {lam for rel in inst.values() for lam in rel.tuples.values()}
+        assert values and values <= {0, 1}
+        assert all(flags.parse_annotation(flags.format_annotation(v)) == v for v in values)
+        assert inst == RandomInstanceSpec(semiring_name="bool01", seed=1).instance(chain_h)
+
+    def test_renamed_rational_semiring_draws_fractions(self, chain_h):
+        _renamed("qplus", "qsum", additive_ops={"sum": operator.add})
+        inst = RandomInstanceSpec(semiring_name="qsum", seed=4).instance(chain_h)
+        values = [lam for rel in inst.values() for lam in rel.tuples.values()]
+        assert values and all(type(v) is Fraction for v in values)
+        assert inst == RandomInstanceSpec(semiring_name="qplus", seed=4).instance(chain_h)
+
+    def test_integer_semirings_share_instances(self, chain_h):
+        _renamed("int", "int-fn", additive_ops={"sum": lambda a, b: a + b})
+        for seed in range(5):
+            assert (RandomInstanceSpec(semiring_name="int-fn", seed=seed).instance(chain_h)
+                    == RandomInstanceSpec(semiring_name="int", seed=seed).instance(chain_h))
+
+
+def _renamed(base, name, **changes):
+    """A built-in semiring registered under another name, once per session."""
+    if name not in _REGISTRY:
+        register_semiring(get_semiring(base)._replace(name=name, **changes))
+    return get_semiring(name)
 
 
 class TestExhaustiveValidGhds:

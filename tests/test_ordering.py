@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -287,6 +288,30 @@ def _random_query(rng, max_attrs, ops):
     return h, alpha
 
 
+def _sweep_query(rng):
+    """2 to 8 attributes under random atoms of arity 1 to 3; 1 to 6 of them
+    aggregated by sum, max or min, the others outputs."""
+    n = rng.randint(2, 8)
+    attrs = [f"X{i}" for i in range(n)]
+    h = Hypergraph.build([("E0", attrs[:1])])
+    while len(h.vertices) < 2:
+        h = Hypergraph.build([
+            (f"E{j}", rng.sample(attrs, rng.randint(1, min(3, n))))
+            for j in range(rng.randint(1, n + 1))
+        ])
+    agg = rng.sample(sorted(h.vertices), rng.randint(1, min(6, len(h.vertices))))
+    return h, AggregationOrdering(tuple((a, rng.choice(("sum", "max", "min"))) for a in agg))
+
+
+def _accepted(h, alpha):
+    """The permutations of alpha that the equivalence test accepts."""
+    return {
+        perm
+        for perm in itertools.permutations(alpha.items)
+        if is_equivalent(h, alpha, AggregationOrdering(perm))
+    }
+
+
 class TestCharacterizationCrossCheck:
     def test_accepted_set_equals_extension_set(self):
         rng = random.Random(21)
@@ -294,12 +319,20 @@ class TestCharacterizationCrossCheck:
             h, alpha = _random_query(rng, 4, ["sum", "max", "min"])
             prec = compute_prec(h, alpha)
             extensions = {b.items for b in linear_extensions(prec, alpha)}
-            accepted = {
-                perm
-                for perm in itertools.permutations(alpha.items)
-                if is_equivalent(h, alpha, AggregationOrdering(perm))
-            }
-            assert accepted == extensions
+            assert _accepted(h, alpha) == extensions
+
+    def test_sweep_with_outputs(self):
+        # wider queries than the cross-check above: 2-8 attributes, up to 6
+        # of them aggregated, the rest outputs
+        rng = random.Random(2029)
+        partial = 0
+        for _ in range(400):
+            h, alpha = _sweep_query(rng)
+            extensions = {b.items for b in linear_extensions(compute_prec(h, alpha), alpha)}
+            accepted = _accepted(h, alpha)
+            assert accepted == extensions, (h, alpha)
+            partial += 1 < len(accepted) < math.factorial(len(alpha))
+        assert partial >= 60  # answers neither one ordering nor every one
 
     def test_semantic_soundness(self):
         sr = get_semiring("qplus")

@@ -28,7 +28,7 @@ def _records():
         (lambda: Edge("R", frozenset({"A", "B"})), "name"),
         (lambda: Hypergraph.build([("R", ("A", "B")), ("S", ("B",))]), "edges"),
         (lambda: Violation("A", "B", "rule", ("A", "B")), "rule"),
-        (lambda: PrecedenceRelation(frozenset({("A", "B")}), frozenset(),
+        (lambda: PrecedenceRelation(frozenset({("A", "B")}),
                                     frozenset({"C"}), frozenset({"A", "B"})), "prec"),
         (lambda: Token("name", "R", 1, 3), "text"),
         (lambda: Atom("R", "R", ("A", "B")), "attrs"),
